@@ -73,18 +73,21 @@ class _Interner:
 
 
 class _TupleInterner:
-    """Pool of encoded tuples (stacks, location lists)."""
+    """Pool of encoded tuples (stacks, location lists).  A tuple is
+    encoded only on its first occurrence, so each distinct stack costs
+    its string-table lookups once."""
 
-    def __init__(self) -> None:
+    def __init__(self, encode) -> None:
         self.rows: list[list] = []
         self._index: dict[tuple, int] = {}
+        self._encode = encode
 
-    def add(self, key: tuple, encoded: list) -> int:
+    def add(self, key: tuple) -> int:
         ix = self._index.get(key)
         if ix is None:
             ix = len(self.rows)
             self._index[key] = ix
-            self.rows.append(encoded)
+            self.rows.append(self._encode(key))
         return ix
 
 
@@ -92,8 +95,15 @@ def _encode(snapshot: ProfileSnapshot) -> list[str]:
     """Serializes a snapshot to its record lines (without newlines)."""
     meta = snapshot.meta
     strings = _Interner()
-    stacks = _TupleInterner()
-    locs = _TupleInterner()
+    # Interning a stack or location list adds its strings on first
+    # occurrence only; a repeat would add nothing new, so the string
+    # table comes out in the same order either way.
+    stacks = _TupleInterner(
+        lambda frames: [[strings.add(fn), iid] for fn, iid in frames]
+    )
+    locs = _TupleInterner(
+        lambda locations: [[strings.add(f), line] for f, line in locations]
+    )
 
     # Function catalog (name-sorted: deterministic bytes).
     fn_cols: dict[str, list] = {"nm": [], "sn": [], "of": [], "ar": []}
@@ -105,17 +115,17 @@ def _encode(snapshot: ProfileSnapshot) -> list[str]:
         )
         fn_cols["ar"].append(1 if f.is_artificial else 0)
 
-    # Instances, columnar over interned stack/location ids.
+    # Instances, columnar over interned stack/location ids.  Each
+    # instance interns its stack before its locations, as the string
+    # table's order requires.
     inst_cols: dict[str, list] = {
         "ix": [], "th": [], "st": [], "lo": [], "gl": [], "tg": [], "rc": [],
     }
     for inst in snapshot.postmortem.instances:
-        stack_enc = [[strings.add(fn), iid] for fn, iid in inst.frames]
-        loc_enc = [[strings.add(fname), line] for fname, line in inst.locations]
         inst_cols["ix"].append(inst.index)
         inst_cols["th"].append(inst.thread_id)
-        inst_cols["st"].append(stacks.add(inst.frames, stack_enc))
-        inst_cols["lo"].append(locs.add(inst.locations, loc_enc))
+        inst_cols["st"].append(stacks.add(inst.frames))
+        inst_cols["lo"].append(locs.add(inst.locations))
         inst_cols["gl"].append(1 if inst.was_glued else 0)
         inst_cols["tg"].append(inst.spawn_tag)
         inst_cols["rc"].append(1 if inst.was_recovered else 0)

@@ -40,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..ir.module import Module
+from ..sampling.monitor import Monitor
 from ..sampling.records import RawSample
 from ..sampling.stackwalk import StackResolver
 
@@ -224,7 +225,9 @@ class PostmortemConsumer:
       ``None`` (the default) holds all candidates to the end, matching
       the one-shot semantics exactly;
     * ``keep_runtime_samples=False`` additionally drops idle/runtime
-      samples after counting them (the views only use the count).
+      samples after counting them (the views only use the count);
+    * each distinct intact path is consolidated once: its instances
+      share one frames tuple and one locations tuple.
     """
 
     def __init__(
@@ -264,6 +267,9 @@ class PostmortemConsumer:
         self._n_repaired = 0
         self._n_late_recovered = 0
         self._finished = False
+        #: (stack, glued pre-spawn stack) → (user frames, locations) of a
+        #: path consolidated intact in the first pass; repeats reuse it.
+        self._intact: dict[tuple, tuple] = {}
         #: tag → pre-spawn stack, learned from intact samples (recovery).
         self._tag_index: dict[int, tuple[tuple[str, int], ...]] = {}
         #: outlined function → distinct pre-spawn continuations.
@@ -344,24 +350,35 @@ class PostmortemConsumer:
                 self._runtime.append(s)
             return
         if self.tolerant:
-            from ..sampling.monitor import Monitor
-
             flaw = Monitor.validate(s)
             if flaw is not None:
                 self._quarantined.append(DegradedSample(s, REASON_MALFORMED))
                 return
-        frames = list(s.stack)
-        glued = False
-        if (
+        glued = bool(
             self.options.stack_gluing
             and s.spawn_tag is not None
             and s.pre_spawn_stack
-        ):
+        )
+        key = (s.stack, s.pre_spawn_stack if glued else None)
+        hit = self._intact.get(key)
+        if hit is not None:
+            # A repeat of a path already consolidated intact: its user
+            # frames, locations and recovery evidence are known, so only
+            # the per-sample fields and the spawn-tag index remain.
+            if self.tolerant and glued:
+                self._tag_index.setdefault(s.spawn_tag, s.pre_spawn_stack)
+            frames, locations = hit
+            self._instances.append(
+                Instance(s.index, s.thread_id, frames, locations, glued, s.spawn_tag)
+            )
+            return
+
+        frames = list(s.stack)
+        if glued:
             # Glue post-spawn to pre-spawn. The pre-spawn leaf is the
             # SpawnJoin site in the spawning function — it plays the
             # role of the call site for the outlined frame.
-            frames = frames + list(s.pre_spawn_stack)
-            glued = True
+            frames += s.pre_spawn_stack
 
         # Trim synthetic/artificial frames that carry no user context
         # (e.g. a sample landing in module init keeps that frame only if
@@ -394,35 +411,38 @@ class PostmortemConsumer:
             )
             return
 
-        if self.tolerant and glued and s.spawn_tag is not None:
+        if self.tolerant and glued:
             # Learn tag → pre-spawn only from *intact* paths (repaired
             # names, complete root), so a truncated or stripped
             # pre-spawn can never poison tag recovery.
             pre = (
                 tuple(frames[len(s.stack):])
                 if repaired
-                else tuple(s.pre_spawn_stack)
+                else s.pre_spawn_stack
             )
             self._tag_index.setdefault(s.spawn_tag, pre)
         if repaired:
             self._n_repaired += 1
-        self._emit(s, user_frames, glued, recovered=repaired,
-                   index_evidence=True)
+        inst = self._emit(s, tuple(user_frames), glued, recovered=repaired,
+                          index_evidence=True)
+        if not had_stripped:
+            # Paths with stripped frames (symbol-table repair) are never
+            # memoized.
+            self._intact[key] = (inst.frames, inst.locations)
 
     def _emit(
         self,
         s: RawSample,
-        frames: list[tuple[str, int]],
+        frames: tuple[tuple[str, int], ...],
         glued: bool,
         recovered: bool = False,
         index_evidence: bool = False,
-    ) -> None:
-        resolved = self._resolver.resolve_stack(tuple(frames))
+    ) -> Instance:
         inst = Instance(
             index=s.index,
             thread_id=s.thread_id,
-            frames=tuple(frames),
-            locations=tuple((r.filename, r.line) for r in resolved),
+            frames=frames,
+            locations=self._resolver.locations(frames),
             was_glued=glued,
             spawn_tag=s.spawn_tag,
             was_recovered=recovered,
@@ -434,6 +454,7 @@ class PostmortemConsumer:
         # which kept recovered paths from influencing later candidates).
         if index_evidence and self.tolerant:
             self._index_evidence(inst)
+        return inst
 
     def _index_evidence(self, inst: Instance) -> None:
         if inst.was_glued:
@@ -573,7 +594,7 @@ class PostmortemConsumer:
                 f for f in continuation if _is_user_frame(self.module, f[0])
             ]
             if _is_complete(self.module, frames):
-                self._emit(s, frames, True, recovered=True)
+                self._emit(s, tuple(frames), True, recovered=True)
                 return 1
         self._unknown.append(DegradedSample(s, reason))
         return 0

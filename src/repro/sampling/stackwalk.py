@@ -34,6 +34,11 @@ class StackResolver:
     def __init__(self, module: Module) -> None:
         self.module = module
         self._index = module.instruction_index()
+        #: frame → (file, line); stack → interned locations tuple.
+        self._frame_locs: dict[tuple[str, int], tuple[str, int]] = {}
+        self._stack_locs: dict[
+            tuple[tuple[str, int], ...], tuple[tuple[str, int], ...]
+        ] = {}
 
     def resolve_entry(self, func: str, iid: int, strict: bool = False) -> ResolvedFrame:
         """Resolves one frame; with ``strict=True`` an address that has
@@ -76,7 +81,21 @@ class StackResolver:
         hit = self._index.get(iid)
         return hit[0].name if hit is not None else None
 
-    def resolve_stack(
-        self, stack: tuple[tuple[str, int], ...]
-    ) -> list[ResolvedFrame]:
-        return [self.resolve_entry(f, iid) for f, iid in stack]
+    def locations(
+        self, frames: tuple[tuple[str, int], ...]
+    ) -> tuple[tuple[str, int], ...]:
+        """The ``(file, line)`` of every frame, memoized: each distinct
+        frame is resolved once, and every call with an equal ``frames``
+        returns the same interned tuple."""
+        locs = self._stack_locs.get(frames)
+        if locs is None:
+            memo = self._frame_locs
+            out = []
+            for frame in frames:
+                loc = memo.get(frame)
+                if loc is None:
+                    r = self.resolve_entry(*frame)
+                    loc = memo[frame] = (r.filename, r.line)
+                out.append(loc)
+            locs = self._stack_locs[frames] = tuple(out)
+        return locs

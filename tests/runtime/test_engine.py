@@ -16,7 +16,9 @@ compared sample-for-sample.
 import pytest
 
 from repro.compiler.lower import compile_source
+from repro.runtime import interpreter as interpreter_mod
 from repro.runtime.interpreter import ExecutionError, Interpreter
+from repro.runtime.tasking import Task
 from repro.sampling.monitor import Monitor
 from repro.sampling.pmu import PMUConfig
 
@@ -120,6 +122,87 @@ class TestEngineEquivalence:
     def test_single_thread(self):
         module = compile_source(SPAWN_HEAVY_SRC, "spawny.chpl")
         assert_equivalent(module, num_threads=1, threshold=101)
+
+
+MIGRATING_SRC = """
+var A: [0..63] real;
+proc main() {
+  for r in 0..3 {
+    forall i in 0..63 { A[i] = A[i] + i * 0.5; }
+    var s = 0.0;
+    for i in 0..7 { s = s + A[i]; }
+    A[0] = s;
+  }
+  writeln(A[0]);
+}
+"""
+
+
+def run_with_state(module, engine, monkeypatch, *, threshold, num_threads):
+    """Runs under the monitor and returns the result, the sample stream,
+    every thread's clocks and PMU counter, every task's ``last_clock``,
+    and how many overflows landed on the last instruction a task ran
+    before leaving its thread (a spawn suspending it, or its return)."""
+    tasks = []
+
+    class RecordingTask(Task):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            tasks.append(self)
+
+    monkeypatch.setattr(interpreter_mod, "Task", RecordingTask)
+    monitor = Monitor(PMUConfig(threshold=threshold))
+    interp = Interpreter(
+        module,
+        num_threads=num_threads,
+        monitor=monitor,
+        sample_threshold=threshold,
+        engine=engine,
+    )
+    overflow = interp._pmu_overflow
+    on_leave = [0]
+
+    def counting_overflow(thread, idle):
+        if not idle and thread.task is None:
+            on_leave[0] += 1
+        overflow(thread, idle)
+
+    interp._pmu_overflow = counting_overflow
+    result = interp.run()
+    monkeypatch.undo()
+    threads = [
+        (t.clock, t.busy_cycles, t.idle_cycles, t.pmu_counter)
+        for t in interp.scheduler.threads
+    ]
+    last_clocks = [(t.task_id, t.last_clock) for t in tasks]
+    stream = [(s.thread_id, s.leaf_iid, s.stack) for s in monitor.samples]
+    return result, stream, threads, last_clocks, on_leave[0]
+
+
+class TestEngineStateIdentity:
+    @pytest.mark.parametrize("threshold", [31, 97])
+    def test_thread_and_task_clocks_match(self, monkeypatch, threshold):
+        # The stack walk's STACKWALK_CYCLES charge lands on the thread
+        # clock after the instruction that overflowed; a task's
+        # last_clock must be taken before it.  Overflows on a task's
+        # last instruction before it leaves the thread are where a
+        # misplaced charge shows.
+        module = compile_source(MIGRATING_SRC, "migrating.chpl")
+        fast = run_with_state(
+            module, "fast", monkeypatch, threshold=threshold, num_threads=3
+        )
+        gen = run_with_state(
+            module, "generic", monkeypatch, threshold=threshold, num_threads=3
+        )
+        assert gen[4] > 0, "no overflow landed on a task's last instruction"
+        assert fast[0].output == gen[0].output
+        assert fast[0].total_cycles == gen[0].total_cycles
+        assert fast[1] == gen[1]
+        assert fast[2] == gen[2]
+        assert fast[3] == gen[3]
+        assert fast[4] == gen[4]
 
 
 class TestEngineErrors:

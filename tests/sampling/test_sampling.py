@@ -96,10 +96,9 @@ class TestStackResolver:
         res = profile_src(WORK, threshold=499)
         resolver = StackResolver(res.module)
         for s in res.monitor.user_samples()[:10]:
-            frames = resolver.resolve_stack(s.stack)
-            leaf = frames[0]
-            assert leaf.filename == "test.chpl"
-            assert leaf.line > 0
+            filename, line = resolver.locations(s.stack)[0]
+            assert filename == "test.chpl"
+            assert line > 0
 
     def test_runtime_frames_flagged(self):
         m = compile_src("proc main() { }")
