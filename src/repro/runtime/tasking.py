@@ -17,7 +17,6 @@ code-centric pprof profile in paper Fig. 4.
 from __future__ import annotations
 
 from collections import deque
-from operator import attrgetter
 from dataclasses import dataclass, field
 
 from ..ir.module import BasicBlock, Function
@@ -134,7 +133,10 @@ class WorkerThread:
 
 
 class Scheduler:
-    """FIFO run queue + min-clock thread selection (deterministic)."""
+    """Threads, the FIFO run queue and the run-scoped id allocators.
+
+    The interpreter's event loop picks the min-clock thread (ties by
+    thread id) from a heap it keeps over ``threads``."""
 
     def __init__(self, num_threads: int) -> None:
         if num_threads < 1:
@@ -164,27 +166,6 @@ class Scheduler:
     def enqueue(self, task: Task) -> None:
         task.state = "ready"
         self.run_queue.append(task)
-
-    _clock_key = attrgetter("clock")
-
-    def pick_thread(self) -> WorkerThread:
-        """The thread with the smallest virtual clock runs next (ties by
-        thread id, keeping execution deterministic).
-
-        ``threads`` is ordered by thread id and ``min`` returns the
-        first minimum, so keying on the clock alone preserves the
-        (clock, thread_id) tie-break while skipping per-comparison
-        tuple construction in this extremely hot call.
-        """
-        return min(self.threads, key=self._clock_key)
-
-    @property
-    def any_ready(self) -> bool:
-        return bool(self.run_queue)
-
-    @property
-    def any_running(self) -> bool:
-        return any(t.task is not None for t in self.threads)
 
 
 def chunk_iteration_space(

@@ -197,7 +197,7 @@ RUNTIME_DIR = (
 ALLOWED_MODULE_CONTAINERS = {
     ("__init__.py", "__all__"),
     ("builtins.py", "BUILTINS"),
-    ("engine.py", "_TRANSFERS"),
+    ("engine.py", "_BRANCHES"),
     ("engine.py", "_CMP_FNS"),
     ("engine.py", "_ARITH_FNS"),
     # Bounded census-plan cache, deliberately process-global (that is

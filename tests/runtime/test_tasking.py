@@ -10,6 +10,9 @@ from repro.runtime.tasking import (
 )
 from repro.runtime.values import ArrayChunk, ArrayValue, DomainChunk, DomainValue, RangeValue, RuntimeError_
 from repro.chapel.types import REAL
+from repro.runtime.interpreter import Interpreter
+from repro.sampling.monitor import Monitor
+from repro.sampling.pmu import PMUConfig
 
 import sys, os
 sys.path.insert(0, os.path.dirname(os.path.dirname(__file__)))
@@ -76,12 +79,32 @@ class TestScheduler:
         tags = [s.next_spawn_tag() for _ in range(5)]
         assert len(set(tags)) == 5
 
-    def test_pick_thread_min_clock(self):
-        s = Scheduler(3)
-        s.threads[0].clock = 100.0
-        s.threads[1].clock = 20.0
-        s.threads[2].clock = 20.0
-        assert s.pick_thread() is s.threads[1]  # ties broken by id
+    @pytest.mark.parametrize(
+        "clocks,first",
+        [((20.0, 20.0), 0), ((100.0, 20.0, 20.0), 1)],
+        ids=["tie-at-min", "tie-behind-slower"],
+    )
+    def test_equal_clocks_lower_thread_id_runs_first(self, clocks, first):
+        # The event loop's clock heap orders (clock, thread_id): of the
+        # threads tied at the smallest clock, the lower id picks up the
+        # main task, so its samples open the stream and the other
+        # threads' idle ticks follow.
+        module = compile_src(
+            "proc main() { var x = 0; for i in 0..9 { x += i; } writeln(x); }"
+        )
+        monitor = Monitor(PMUConfig(threshold=1))
+        interp = Interpreter(
+            module, num_threads=len(clocks), monitor=monitor, sample_threshold=1
+        )
+        for thread, clock in zip(interp.scheduler.threads, clocks):
+            thread.clock = clock
+        interp.run()
+        stream = monitor.samples
+        assert stream[0].thread_id == first and not stream[0].is_idle
+        busy = {s.thread_id for s in stream if not s.is_idle}
+        assert busy == {first}
+        idle = [s.thread_id for s in stream if s.is_idle]
+        assert idle[0] != first
 
 
 class TestRunScopedTaskIds:
