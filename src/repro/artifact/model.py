@@ -269,8 +269,3 @@ def snapshot_from_result(
         adaptive=adaptive,
     )
     return canonicalize_timings(snapshot) if canonical_timings else snapshot
-
-
-def relabel(meta: ArtifactMeta, **changes) -> ArtifactMeta:
-    """Frozen-dataclass update helper (used by merge)."""
-    return replace(meta, **changes)

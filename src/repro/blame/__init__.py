@@ -25,8 +25,6 @@ from .postmortem import (
     Instance,
     PostmortemConsumer,
     PostmortemResult,
-    ShardEvidence,
-    ShardState,
     process_samples,
 )
 from .report import BlameReport, BlameRow, RunStats, build_rows, path_type
@@ -38,7 +36,6 @@ __all__ = [
     "ABLATIONS", "AttributionResult", "BlameAttributor", "BlameOptions", "BlameReport", "BlameRow",
     "BlameSets", "DataFlow", "ExitVars", "FunctionBlameInfo", "Instance",
     "ModuleBlameInfo", "PostmortemConsumer", "PostmortemResult", "RET_KEY", "RunStats",
-    "ShardEvidence", "ShardState",
     "FULL", "SliceGraph", "TransferFunction", "TransferResult", "VarKey",
     "VarMeta", "VariableBlame", "build_rows", "compute_blame_sets",
     "compute_exit_vars", "merge_attributions", "merge_reports", "path_type", "process_samples",

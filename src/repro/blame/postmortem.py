@@ -49,9 +49,6 @@ REASON_TRUNCATED = "truncated-stack"
 REASON_LOST_TAG = "lost-spawn-tag"
 REASON_NO_DEBUG = "no-debug-info"
 REASON_MALFORMED = "malformed-sample"
-#: A pool worker exhausted its retry budget and the whole shard's busy
-#: samples were folded into ``<unknown>`` (see pipeline/supervisor.py).
-REASON_WORKER_FAILED = "worker-failed"
 
 
 def _looks_stripped(name: str) -> bool:
@@ -145,64 +142,6 @@ class _Candidate:
     had_stripped: bool
 
 
-@dataclass
-class ShardEvidence:
-    """The recovery evidence one consumer accumulated from its intact
-    instances — the piece of post-mortem state that is *not* local to a
-    shard.  Plain picklable data so process-pool workers can ship it
-    back for a global merge."""
-
-    #: tag → pre-spawn stack (first intact occurrence wins).
-    tag_index: dict[int, tuple[tuple[str, int], ...]]
-    #: outlined function → distinct pre-spawn continuations.
-    pre_index: dict[str, set[tuple[tuple[str, int], ...]]]
-    #: frame → distinct continuations below it (suffix gluing).
-    cont_index: dict[tuple[str, int], set[tuple[tuple[str, int], ...]]]
-
-    @staticmethod
-    def merge(parts: "list[ShardEvidence]") -> "ShardEvidence":
-        """Order-respecting union: iterating shards in stream order and
-        letting the first occurrence win reproduces exactly the indexes
-        a single serial consumer would have built (its ``setdefault``
-        semantics), so recovery against the merged evidence matches
-        serial recovery bit for bit."""
-        tag: dict[int, tuple[tuple[str, int], ...]] = {}
-        pre: dict[str, set[tuple[tuple[str, int], ...]]] = {}
-        cont: dict[tuple[str, int], set[tuple[tuple[str, int], ...]]] = {}
-        for part in parts:
-            for k, v in part.tag_index.items():
-                tag.setdefault(k, v)
-            for k, vs in part.pre_index.items():
-                pre.setdefault(k, set()).update(vs)
-            for k, vs in part.cont_index.items():
-                cont.setdefault(k, set()).update(vs)
-        return ShardEvidence(tag_index=tag, pre_index=pre, cont_index=cont)
-
-
-@dataclass
-class ShardState:
-    """Phase-1 outcome of one shard's consumer: everything consolidated
-    locally, with degraded candidates still *held* (unresolved) because
-    resolving them needs evidence from every shard.
-
-    Produced by :meth:`PostmortemConsumer.shard_state`; resolved by
-    :meth:`PostmortemConsumer.resolve_with_evidence` against the
-    :meth:`ShardEvidence.merge` of all shards.  All fields are plain
-    picklable data.
-    """
-
-    instances: list[Instance]
-    runtime_samples: list[RawSample]
-    n_runtime: int
-    quarantined: list[DegradedSample]
-    candidates: list[_Candidate]
-    n_raw: int
-    #: In-stream repairs (symbol-table re-identification) — recovery
-    #: that never needed cross-shard evidence.
-    n_repaired: int
-    evidence: ShardEvidence
-
-
 class PostmortemConsumer:
     """Single-pass incremental consumer over raw sample batches.
 
@@ -237,7 +176,6 @@ class PostmortemConsumer:
         tolerant: bool = False,
         evidence_window: int | None = None,
         keep_runtime_samples: bool = True,
-        resolver: "StackResolver | None" = None,
     ) -> None:
         from .options import FULL
 
@@ -249,14 +187,7 @@ class PostmortemConsumer:
         self.evidence_window = evidence_window
         self.keep_runtime_samples = keep_runtime_samples
 
-        # Building the resolver means indexing every instruction in the
-        # module; callers that construct many consumers over one
-        # unchanging module (the sharded pipeline, one per shard) pass a
-        # shared pre-built resolver — it is pure lookup, so sharing
-        # changes no behavior.
-        self._resolver = (
-            resolver if resolver is not None else StackResolver(module)
-        )
+        self._resolver = StackResolver(module)
         self._instances: list[Instance] = []
         self._runtime: list[RawSample] = []
         self._n_runtime = 0
@@ -471,80 +402,6 @@ class PostmortemConsumer:
             self._cont_index.setdefault(inst.frames[k], set()).add(
                 inst.frames[k + 1:]
             )
-
-    # -- shard interface (parallel collection) -------------------------------
-
-    def shard_state(self) -> ShardState:
-        """Ends consumption and returns the shard-local outcome *without*
-        resolving held-back candidates (phase 1 of the parallel
-        post-mortem).
-
-        Candidate resolution is the only part of post-mortem processing
-        that reads global state (the recovery evidence spans the whole
-        stream), so a shard worker stops here and ships its candidates
-        plus evidence to the parent, which resolves all candidates —
-        in global stream order — against the merged evidence with
-        :meth:`resolve_with_evidence`.
-
-        Incompatible with a bounded ``evidence_window``: early flushing
-        resolves candidates against *partial* evidence mid-stream, which
-        has no faithful two-phase equivalent.
-        """
-        if self.evidence_window is not None:
-            raise RuntimeError(
-                "shard_state() requires an unbounded evidence window "
-                "(evidence_window=None); bounded-window early resolution "
-                "cannot be deferred to a cross-shard phase"
-            )
-        if self._finished:
-            raise RuntimeError("PostmortemConsumer.shard_state() after finish()")
-        self._finished = True
-        return ShardState(
-            instances=self._instances,
-            runtime_samples=self._runtime,
-            n_runtime=self._n_runtime,
-            quarantined=self._quarantined,
-            candidates=self._candidates,
-            n_raw=self._n_raw,
-            n_repaired=self._n_repaired,
-            evidence=ShardEvidence(
-                tag_index=self._tag_index,
-                pre_index=self._pre_index,
-                cont_index=self._cont_index,
-            ),
-        )
-
-    @classmethod
-    def resolve_with_evidence(
-        cls,
-        module: Module,
-        candidates: "list[_Candidate]",
-        evidence: ShardEvidence,
-        options: object | None = None,
-        stack_resolver: "StackResolver | None" = None,
-    ) -> "tuple[list[Instance], list[DegradedSample], int]":
-        """Phase 2 of the parallel post-mortem: resolves ``candidates``
-        (global stream order) against the merged ``evidence`` of every
-        shard.
-
-        Returns ``(recovered_instances, unknown, n_recovered)``.  Because
-        a serial pass builds evidence only from intact first-pass
-        instances — never from recovered ones — resolution is a pure
-        function of the final evidence, and running it here over the
-        concatenated candidate lists reproduces the serial ``finish()``
-        outcome exactly.
-        """
-        resolver = cls(
-            module, options=options, tolerant=True, resolver=stack_resolver
-        )
-        resolver._tag_index = evidence.tag_index
-        resolver._pre_index = evidence.pre_index
-        resolver._cont_index = evidence.cont_index
-        resolver._finished = True
-        n_recovered = 0
-        for c in candidates:
-            n_recovered += resolver._resolve_candidate(c)
-        return resolver._instances, resolver._unknown, n_recovered
 
     # -- recovery (second pass over held-back candidates) --------------------
 

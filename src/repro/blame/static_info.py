@@ -52,9 +52,7 @@ def compute_global_aliases(
 
     A data-flow pass over every function collects which globals hold
     aliases of which (e.g. module init storing a slice of ``Pos`` into
-    ``RealPos``), iterated so aliases of aliases converge.  Cheap and
-    inherently whole-module, so the parallel analyzer runs it serially
-    in the parent before fanning out the per-function phase 2.
+    ``RealPos``), iterated so aliases of aliases converge.
     """
     from .options import FULL
 
@@ -86,10 +84,8 @@ def analyze_function(
 ) -> FunctionBlameInfo:
     """Phase 2 for one function: the full per-function analyses with the
     module-wide alias facts visible.  Pure in the function's IR, the
-    module context, the aliases and the options — which is what lets the
-    parallel analyzer run it on a pickled module copy in a worker and
-    still get content-identical results (blame sets are keyed by
-    instruction ids, which survive pickling unchanged)."""
+    module context, the aliases and the options, which is what lets
+    :mod:`repro.blame.cache` key its result by their fingerprints."""
     from .options import FULL
 
     options = options or FULL
@@ -141,27 +137,6 @@ class ModuleBlameInfo:
                 )
                 _cache.store_function_info(fn, key, info)
             self.functions[name] = info
-
-    @classmethod
-    def from_parts(
-        cls,
-        module: Module,
-        options: object,
-        global_aliases: "dict[VarKey, frozenset[Root]]",
-        functions: "dict[str, FunctionBlameInfo]",
-    ) -> "ModuleBlameInfo":
-        """Assembles a ModuleBlameInfo from externally computed pieces
-        (the parallel analyzer's reassembly seam).  ``module`` should be
-        the *parent* module object even when some ``functions`` entries
-        were computed against pickled copies: display-name resolution
-        (``_user_context``) goes through this attribute, and the copies
-        are content-identical where the analyses are concerned."""
-        info = cls.__new__(cls)
-        info.module = module
-        info.options = options
-        info.global_aliases = global_aliases
-        info.functions = dict(functions)
-        return info
 
     def info_for(self, func_name: str) -> FunctionBlameInfo | None:
         return self.functions.get(func_name)

@@ -53,49 +53,6 @@ class ArtifactVersionError(ArtifactError):
     generation, not from corruption)."""
 
 
-class ParallelError(ReproError, ValueError):
-    """The parallel collection pipeline was misconfigured (bad worker
-    count, unavailable pool backend, or an option that has no faithful
-    sharded equivalent, like streaming mode with multiple workers)."""
-
-
-class WorkerError(ParallelError):
-    """Base for per-task transport failures in the supervised worker
-    pool.  Instances cross the process boundary inside pool results, so
-    the constructor takes only a message (picklable by default)."""
-
-
-class WorkerCrashError(WorkerError):
-    """A pool worker died (or was killed) while running a shard task —
-    injected or real.  The supervisor retries the task on a live
-    worker, rebuilding the pool first when the crash took the whole
-    executor down (``BrokenProcessPool``)."""
-
-
-class WorkerTimeoutError(WorkerError):
-    """A shard task exceeded the per-task wall-clock budget.  With
-    speculation enabled the supervisor races a second copy instead of
-    charging a retry; otherwise the attempt is abandoned and retried."""
-
-
-class PayloadCorruptError(WorkerError):
-    """A shard task's result payload failed its integrity check on the
-    way back from the worker (CRC mismatch or unpicklable bytes) — the
-    transport analogue of a torn sample record.  The result is
-    discarded and the task retried; the data is never trusted."""
-
-
-class WorkerInitError(WorkerError):
-    """Building the worker pool failed — most commonly the per-worker
-    initializer blob would not pickle for the chosen backend.  Carries
-    ``transient``: injected initializer faults are transient (a retry
-    can succeed); a genuine :class:`pickle.PicklingError` is not."""
-
-    def __init__(self, message: str, transient: bool = False) -> None:
-        super().__init__(message)
-        self.transient = transient
-
-
 class LocaleError(ReproError):
     """Base for per-locale failures in the multi-locale harness."""
 

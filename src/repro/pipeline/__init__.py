@@ -1,25 +1,7 @@
 """Staged profiling pipeline (compile → analyze → collect → post-mortem
 → aggregate → render) with the ``.cbp`` artifact as the contract
-between collection and presentation.  :mod:`repro.pipeline.parallel`
-shards post-mortem/attribution/analysis across worker pools with
-bit-identical results."""
+between collection and presentation."""
 
-from .parallel import (
-    BACKENDS,
-    ParallelPostmortem,
-    interpreter_pool_available,
-    parallel_analyze,
-    parallel_postmortem,
-    resolve_backend,
-)
-from .supervisor import (
-    ShardSupervisor,
-    SupervisionOutcome,
-    SupervisionStats,
-    SupervisorConfig,
-    TaskRecord,
-    TaskState,
-)
 from .stages import (
     VIEWS,
     Collection,
@@ -33,24 +15,13 @@ from .stages import (
 )
 
 __all__ = [
-    "BACKENDS",
     "VIEWS",
     "Collection",
-    "ParallelPostmortem",
     "aggregate_stage",
     "analyze_stage",
     "attribute_stage",
     "collect_stage",
     "compile_stage",
-    "ShardSupervisor",
-    "SupervisionOutcome",
-    "SupervisionStats",
-    "SupervisorConfig",
-    "TaskRecord",
-    "TaskState",
-    "interpreter_pool_available",
-    "parallel_analyze",
-    "parallel_postmortem",
     "postmortem_stage",
     "render_stage",
 ]

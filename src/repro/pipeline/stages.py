@@ -66,48 +66,19 @@ def compile_stage(
     return module
 
 
-def analyze_stage(
-    module: Module,
-    options: "object | None" = None,
-    workers: int = 1,
-    backend: str = "auto",
-    supervision: "object | None" = None,
-) -> ModuleBlameInfo:
+def analyze_stage(module: Module, options: "object | None" = None) -> ModuleBlameInfo:
     """Step 1 — static blame analysis (pre-run, sample-independent;
-    cached on the module, keyed by a content hash of its IR).
-
-    ``workers > 1`` fans the per-function phase out across a worker
-    pool (:func:`repro.pipeline.parallel.parallel_analyze`); results
-    are content-identical and share the serial path's caches.
-    ``supervision`` (a :class:`~repro.pipeline.supervisor.
-    SupervisorConfig`) runs the fan-out under the shard supervisor.
-    """
-    if workers > 1:
-        from .parallel import parallel_analyze
-
-        return parallel_analyze(
-            module, options=options, workers=workers, backend=backend,
-            supervision=supervision,
-        )
+    cached on the module, keyed by a content hash of its IR)."""
     return cached_module_blame_info(module, options=options)
 
 
 @dataclass
 class Collection:
-    """What one monitored execution produced.
-
-    On a sliced-collection run (``collect_stage(..., workers > 1)``)
-    ``interpreter`` is the
-    :class:`~repro.pipeline.parallel.CollectedInterpreterState` shim
-    (thread count + final heap — the facts downstream consumers read)
-    and ``parallel`` carries the
-    :class:`~repro.pipeline.parallel.ParallelCollection` accounting.
-    """
+    """What one monitored execution produced."""
 
     monitor: Monitor
-    interpreter: "Interpreter | object"
+    interpreter: Interpreter
     run_result: RunResult
-    parallel: "object | None" = None
 
 
 def collect_stage(
@@ -120,50 +91,13 @@ def collect_stage(
     skid_compensation: bool = False,
     sink=None,
     batch_size: int = 256,
-    workers: int = 1,
-    backend: str = "auto",
-    supervision: "object | None" = None,
 ) -> Collection:
     """Step 2 — execution under the monitor.
 
     Pass ``sink`` to stream sample batches out as they are collected
     (bounded memory) instead of retaining the whole run; the final
     partial batch is flushed before this returns.
-
-    ``workers > 1`` partitions the run's virtual clock into that many
-    simulated-time slices and collects each under its own interpreter +
-    monitor in a pool worker
-    (:func:`repro.pipeline.parallel.parallel_collect`); the reassembled
-    stream is byte-identical to this function's serial output.  Sliced
-    collection retains the stream, so it composes with neither ``sink``
-    nor (downstream) the adaptive driver.
     """
-    if workers > 1:
-        if sink is not None:
-            raise ValueError(
-                "sliced collection retains the stream; it does not "
-                "compose with a sink (streaming mode)"
-            )
-        from .parallel import parallel_collect
-
-        pc = parallel_collect(
-            module,
-            workers,
-            backend=backend,
-            config=config,
-            num_threads=num_threads,
-            threshold=threshold,
-            cost_model=cost_model,
-            skid=skid,
-            skid_compensation=skid_compensation,
-            supervision=supervision,
-        )
-        return Collection(
-            monitor=pc.monitor,
-            interpreter=pc.interpreter,
-            run_result=pc.run_result,
-            parallel=pc,
-        )
     monitor = Monitor(
         PMUConfig(threshold=threshold), sink=sink, batch_size=batch_size
     )

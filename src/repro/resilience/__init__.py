@@ -4,32 +4,24 @@ Real Dyninst/PAPI deployments are lossy: stack walks truncate, samples
 drop, spawn tags vanish, debug info gets stripped, and locales crash or
 straggle.  This package makes those failure modes reproducible —
 :mod:`faults` describes *what* to break (deterministic, seedable),
-:mod:`inject` breaks it, :mod:`transport` breaks the worker-pool seam
-(crashes, hangs, corrupted result payloads — supervised by
-:mod:`repro.pipeline.supervisor`), :mod:`retrying` is the shared
+:mod:`inject` breaks it, :mod:`retrying` is the multi-locale harness's
 bounded-retry/backoff schedule, and :mod:`stability` quantifies how
 stable the blame rankings stay under each fault class.
 """
 
 from .faults import FAULT_CLASSES, FaultPlan
 from .inject import FaultInjector, InjectionStats
-from .retrying import RetryPolicy, backoff_attempts
+from .retrying import backoff_attempts
 from .stability import compare_reports, kendall_tau, ranking, top_n_overlap
-from .transport import TaskDirectives, directives_for, seal, unseal
 
 __all__ = [
     "FAULT_CLASSES",
     "FaultInjector",
     "FaultPlan",
     "InjectionStats",
-    "RetryPolicy",
-    "TaskDirectives",
     "backoff_attempts",
     "compare_reports",
-    "directives_for",
     "kendall_tau",
     "ranking",
-    "seal",
     "top_n_overlap",
-    "unseal",
 ]

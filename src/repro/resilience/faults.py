@@ -20,36 +20,14 @@ Fault classes (mirroring how real telemetry degrades):
 ``crash``     locale crash — a locale's run dies (multi-locale only).
 ``straggle``  locale straggler — a locale finishes late (multi-locale).
 
-Transport faults (the worker-pool seam, supervised by
-:mod:`repro.pipeline.supervisor`):
-
-``worker-crash``    the worker running the task raises (dies cleanly);
-                    first dispatch only — a retry succeeds.
-``worker-kill``     the worker is SIGKILLed mid-task, taking the whole
-                    process pool down (``BrokenProcessPool``); first
-                    dispatch only.
-``worker-hang``     the task stalls ``hang-seconds`` before finishing —
-                    trips the per-task timeout / speculation.
-``worker-dead``     the task fails on *every* dispatch — the graceful-
-                    degradation path (retries cannot save the shard).
-``payload-corrupt`` the result payload is corrupted in flight (CRC
-                    mismatch on the parent side).
-``init-pickle-fail`` the first N pool builds fail as if the worker
-                    initializer blob would not pickle (transient).
-
 CLI spec grammar (``--inject-faults``)::
 
     drop=0.1,truncate=0.1:3,tagloss=0.05,corrupt=0.02,strip=0.1,seed=42
     crash=1;3,straggle=2,straggle-delay=0.05,crash-rate=0.2
-    worker-crash=2;5,worker-hang=3,payload-corrupt-rate=0.1
-    worker-kill=0,worker-dead=1,hang-seconds=0.2,init-pickle-fail=1
 
 Rates are fractions in [0, 1]; ``truncate`` takes an optional ``:k``
 depth (default 2); ``crash``/``straggle`` take ``;``-separated locale
-ids; ``worker-crash``/``worker-kill``/``worker-hang``/``worker-dead``/
-``payload-corrupt`` take ``;``-separated task (shard) indices, with
-``worker-crash-rate``/``worker-hang-rate``/``payload-corrupt-rate``
-per-dispatch probabilistic variants.
+ids.
 """
 
 from __future__ import annotations
@@ -85,49 +63,15 @@ class FaultPlan:
     #: Locales that straggle (finish after ``straggler_delay`` host s).
     straggler_locales: tuple[int, ...] = ()
     straggler_delay: float = 0.0
-    # -- transport faults (the worker-pool seam) --------------------------
-    #: Tasks whose worker raises on the first dispatch (retries succeed).
-    worker_crash_tasks: tuple[int, ...] = ()
-    #: Per-dispatch worker-crash probability for every task.
-    worker_crash_rate: float = 0.0
-    #: Tasks whose worker is SIGKILLed on the first dispatch
-    #: (``BrokenProcessPool`` on a real process pool).
-    worker_kill_tasks: tuple[int, ...] = ()
-    #: Tasks that stall ``hang_seconds`` on the first dispatch.
-    worker_hang_tasks: tuple[int, ...] = ()
-    #: Per-dispatch hang probability for every task.
-    worker_hang_rate: float = 0.0
-    #: How long a hung task stalls before finishing (host seconds).
-    hang_seconds: float = 30.0
-    #: Tasks whose result payload is corrupted on the first dispatch.
-    payload_corrupt_tasks: tuple[int, ...] = ()
-    #: Per-dispatch payload-corruption probability for every task.
-    payload_corrupt_rate: float = 0.0
-    #: Tasks that fail on EVERY dispatch (degradation path).
-    worker_dead_tasks: tuple[int, ...] = ()
-    #: Number of leading pool builds that fail transiently, as if the
-    #: worker-initializer blob refused to pickle.
-    init_pickle_failures: int = 0
 
     def __post_init__(self) -> None:
         for name in ("drop_rate", "corrupt_rate", "truncate_rate",
-                     "tag_loss_rate", "strip_rate", "crash_rate",
-                     "worker_crash_rate", "worker_hang_rate",
-                     "payload_corrupt_rate"):
+                     "tag_loss_rate", "strip_rate", "crash_rate"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise SampleFormatError(f"{name} must be in [0, 1], got {v}")
         if self.truncate_depth < 1:
             raise SampleFormatError("truncate_depth must be >= 1")
-        if self.hang_seconds < 0.0:
-            raise SampleFormatError(
-                f"hang_seconds must be >= 0, got {self.hang_seconds}"
-            )
-        if self.init_pickle_failures < 0:
-            raise SampleFormatError(
-                f"init_pickle_failures must be >= 0, "
-                f"got {self.init_pickle_failures}"
-            )
 
     @property
     def is_clean(self) -> bool:
@@ -139,29 +83,6 @@ class FaultPlan:
             and self.tag_loss_rate == 0.0
             and self.strip_rate == 0.0
         )
-
-    @property
-    def has_transport_faults(self) -> bool:
-        """True when the plan injects anything at the worker-pool seam
-        (orthogonal to :attr:`is_clean`, which is sample-level only)."""
-        return bool(
-            self.worker_crash_tasks
-            or self.worker_crash_rate
-            or self.worker_kill_tasks
-            or self.worker_hang_tasks
-            or self.worker_hang_rate
-            or self.payload_corrupt_tasks
-            or self.payload_corrupt_rate
-            or self.worker_dead_tasks
-            or self.init_pickle_failures
-        )
-
-    @property
-    def has_payload_faults(self) -> bool:
-        """True when result payloads can be corrupted in flight — the
-        supervisor only pays for the CRC result envelope when this is
-        set, keeping the clean path overhead-free."""
-        return bool(self.payload_corrupt_tasks or self.payload_corrupt_rate)
 
     def with_rate(self, fault: str, rate: float) -> "FaultPlan":
         """Returns a copy with one fault class set to ``rate`` (used by
@@ -242,44 +163,11 @@ class FaultPlan:
                     )
                 elif name == "straggle-delay":
                     kwargs["straggler_delay"] = float(raw)
-                elif name == "worker-crash":
-                    kwargs["worker_crash_tasks"] = tuple(
-                        int(x) for x in raw.split(";") if x
-                    )
-                elif name == "worker-crash-rate":
-                    kwargs["worker_crash_rate"] = float(raw)
-                elif name == "worker-kill":
-                    kwargs["worker_kill_tasks"] = tuple(
-                        int(x) for x in raw.split(";") if x
-                    )
-                elif name == "worker-hang":
-                    kwargs["worker_hang_tasks"] = tuple(
-                        int(x) for x in raw.split(";") if x
-                    )
-                elif name == "worker-hang-rate":
-                    kwargs["worker_hang_rate"] = float(raw)
-                elif name == "hang-seconds":
-                    kwargs["hang_seconds"] = float(raw)
-                elif name == "payload-corrupt":
-                    kwargs["payload_corrupt_tasks"] = tuple(
-                        int(x) for x in raw.split(";") if x
-                    )
-                elif name == "payload-corrupt-rate":
-                    kwargs["payload_corrupt_rate"] = float(raw)
-                elif name == "worker-dead":
-                    kwargs["worker_dead_tasks"] = tuple(
-                        int(x) for x in raw.split(";") if x
-                    )
-                elif name == "init-pickle-fail":
-                    kwargs["init_pickle_failures"] = int(raw)
                 else:
                     raise SampleFormatError(
                         f"unknown fault spec key {name!r} "
                         f"(want {'|'.join(FAULT_CLASSES)}|crash|crash-rate|"
-                        f"straggle|straggle-delay|worker-crash[-rate]|"
-                        f"worker-kill|worker-hang[-rate]|hang-seconds|"
-                        f"payload-corrupt[-rate]|worker-dead|"
-                        f"init-pickle-fail|seed)"
+                        f"straggle|straggle-delay|seed)"
                     )
             except ValueError as exc:
                 if isinstance(exc, SampleFormatError):

@@ -1,60 +1,15 @@
-"""Bounded retry with exponential backoff, shared across layers.
+"""Bounded retry with exponential backoff.
 
-Two call sites ride on this module: the multi-locale harness
-(:mod:`repro.tooling.multilocale`) retries whole locale runs, and the
-shard supervisor (:mod:`repro.pipeline.supervisor`) retries individual
-pool tasks.  Both want the same arithmetic — attempt ``k`` (0-based)
-waits ``backoff * 2**(k-1)`` seconds before running, attempt 0 runs
-immediately, and the total attempt budget is ``max_retries + 1`` — so
-it lives here once, pinned by the existing multilocale tests and the
-supervisor's own.
-
-The generator form (:func:`backoff_attempts`) sleeps inline, matching
-the historical multilocale loop; :class:`RetryPolicy` exposes the same
-schedule non-blockingly for the supervisor's event loop, which must
-keep draining other futures while a failed task waits out its backoff.
+The multi-locale harness (:mod:`repro.tooling.multilocale`) retries
+whole locale runs on this schedule: attempt ``k`` (0-based) waits
+``backoff * 2**(k-1)`` seconds before running, attempt 0 runs
+immediately, and the total attempt budget is ``max_retries + 1``.
 """
 
 from __future__ import annotations
 
 import time
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Retry budget + exponential-backoff schedule.
-
-    ``max_retries`` is the number of *re*-tries: a task gets
-    ``max_retries + 1`` total attempts.  ``backoff`` is the delay before
-    the first retry; each further retry doubles it.
-    """
-
-    max_retries: int = 2
-    backoff: float = 0.01
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError(
-                f"max_retries must be >= 0 (got {self.max_retries})"
-            )
-        if self.backoff < 0.0:
-            raise ValueError(f"backoff must be >= 0 (got {self.backoff})")
-
-    @property
-    def max_attempts(self) -> int:
-        return self.max_retries + 1
-
-    def delay(self, attempt: int) -> float:
-        """Seconds to wait before 0-based ``attempt`` (0 for the first)."""
-        if attempt <= 0:
-            return 0.0
-        return self.backoff * (2 ** (attempt - 1))
-
-    def allows(self, failures: int) -> bool:
-        """May another attempt run after ``failures`` failed ones?"""
-        return failures < self.max_attempts
 
 
 def backoff_attempts(
@@ -67,11 +22,15 @@ def backoff_attempts(
     seconds, up to ``max_retries + 1`` attempts total.
 
     The caller breaks out on success; exhausting the iterator means the
-    retry budget is spent.  ``sleep`` is injectable for tests.
+    retry budget is spent.  ``sleep`` is injectable for tests.  A
+    negative ``max_retries`` or ``backoff`` raises :class:`ValueError`
+    before the first attempt.
     """
-    policy = RetryPolicy(max_retries=max_retries, backoff=backoff)
-    for attempt in range(policy.max_attempts):
-        d = policy.delay(attempt)
-        if d > 0.0:
-            sleep(d)
+    if max_retries < 0:
+        raise ValueError(f"max_retries must be >= 0 (got {max_retries})")
+    if backoff < 0.0:
+        raise ValueError(f"backoff must be >= 0 (got {backoff})")
+    for attempt in range(max_retries + 1):
+        if attempt > 0 and backoff > 0.0:
+            sleep(backoff * (2 ** (attempt - 1)))
         yield attempt

@@ -37,8 +37,7 @@ class CostModel:
     Frozen: every run without an explicit model shares
     :data:`DEFAULT_COST_MODEL`, so an instance must be immutable for
     runs to be independent of each other (mutate-by-accident here would
-    silently change every later run in the process — including the
-    sliced-collection identity guarantee).  Derive variants with
+    silently change every later run in the process).  Derive variants with
     ``dataclasses.replace`` or keyword construction.
     """
 

@@ -26,8 +26,8 @@ are written back before anything can observe them:
 * the clock before every single step (spawns and the ``elapsed`` builtin
   read ``thread.clock``; handlers never move it, busy cycles or the PMU
   count, so nothing is re-read after one);
-* in a ``finally``, so faults, ``ProgramHalt``, ``StopSampling`` and
-  ``SliceStop`` leave the generic loop's state.
+* in a ``finally``, so faults, ``ProgramHalt`` and ``StopSampling``
+  leave the generic loop's state.
 
 Single steps run inline in the same loop, accumulating exactly as the
 generic loop's per-instruction code does.

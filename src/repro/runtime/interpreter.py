@@ -151,11 +151,12 @@ class Interpreter:
         self._spawn_records: dict[int, SpawnRecord] = {}
         self._main_task: Task | None = None
         self._pending_entry: list[Function] = []
-        #: Optional per-event-loop-iteration callback (``hook(self)``),
-        #: fired at the top of every scheduler iteration — the slice
-        #: machinery's safe point for checkpointing and for unwinding a
-        #: worker's run at its stop boundary (see ``runtime.checkpoint``).
-        self._slice_hook = None
+        #: Test seam: an optional callback ``hook(self)`` fired at the
+        #: top of every scheduler iteration, where no instruction is
+        #: mid-flight.  The engine-identity tests use it to compare the
+        #: fast and generic engines' state at every iteration; profiling
+        #: never sets it.
+        self._iteration_hook = None
 
         self._dispatch = {
             I.Alloca: self._ex_alloca,
@@ -228,102 +229,6 @@ class Interpreter:
             halt_message = str(h)
         return self.build_run_result(halted=halted, halt_message=halt_message)
 
-    # -- slice collection (see runtime/checkpoint.py) --------------------------
-
-    def checkpoint(self) -> bytes:
-        """Serializes the full resumable run state (scheduler, heap,
-        globals, spawn records, pending entries/skids — one consistent
-        object graph including the module) as an opaque blob a fresh
-        process can :meth:`resume` from.  Only meaningful at an
-        event-loop safe point (the slice hook); calling it mid-quantum
-        would capture a half-applied instruction."""
-        from .checkpoint import snapshot
-
-        return snapshot(self)
-
-    @classmethod
-    def resume(
-        cls,
-        blob: bytes,
-        monitor: object | None = None,
-        sample_threshold: float | None = None,
-        cost_model: CostModel | None = None,
-        quantum: int = 64,
-        skid: int = 0,
-        skid_compensation: bool = False,
-        engine: str = "fast",
-    ) -> "Interpreter":
-        """Reconstructs an interpreter from a :meth:`checkpoint` blob.
-        The caller supplies the monitor and sampling knobs (they are
-        collection policy, not run state — a slice worker brings its
-        own per-slice monitor)."""
-        from .checkpoint import restore
-
-        return restore(
-            blob,
-            monitor=monitor,
-            sample_threshold=sample_threshold,
-            cost_model=cost_model,
-            quantum=quantum,
-            skid=skid,
-            skid_compensation=skid_compensation,
-            engine=engine,
-        )
-
-    def _install_slice_stop(self, stop_at: int) -> None:
-        """Arms the event-loop hook to unwind (via ``SliceStop``) at the
-        first safe point where the monitor's *global* stream position
-        reaches ``stop_at`` accepted samples.  The condition is a pure
-        function of deterministic execution state, so a resumed worker
-        cuts at exactly the safe point where the census snapshotted the
-        next slice's checkpoint."""
-        from .checkpoint import SliceStop
-
-        monitor = self.monitor
-
-        def hook(interp, _mon=monitor, _stop=stop_at):
-            if _mon.stream_index >= _stop:
-                raise SliceStop(_stop)
-
-        self._slice_hook = hook
-
-    def run_sliced(self, stop_at: int | None = None) -> "RunResult | None":
-        """Fresh run that stops at the ``stop_at`` stream boundary.
-        Returns the :class:`RunResult` if the program completed first,
-        or ``None`` when the slice boundary cut the run."""
-        from .checkpoint import SliceStop
-
-        if stop_at is not None:
-            self._install_slice_stop(stop_at)
-        try:
-            return self.run()
-        except SliceStop:
-            return None
-        finally:
-            self._slice_hook = None
-
-    def continue_sliced(self, stop_at: int | None = None) -> "RunResult | None":
-        """Continues a :meth:`resume`-d run, optionally up to the next
-        slice boundary (same return contract as :meth:`run_sliced`)."""
-        from .checkpoint import SliceStop
-
-        if self._main_task is None:
-            raise RuntimeError_("no resumable run state (not a checkpointed run)")
-        if stop_at is not None:
-            self._install_slice_stop(stop_at)
-        halted = False
-        halt_message = ""
-        try:
-            self._event_loop(self._main_task)
-        except SliceStop:
-            return None
-        except ProgramHalt as h:
-            halted = True
-            halt_message = str(h)
-        finally:
-            self._slice_hook = None
-        return self.build_run_result(halted=halted, halt_message=halt_message)
-
     def build_run_result(
         self, halted: bool = False, halt_message: str = ""
     ) -> RunResult:
@@ -373,21 +278,19 @@ class Interpreter:
         threshold = self.sample_threshold
         sampling = threshold is not None and self.monitor is not None
         overflow = self._pmu_overflow
-        hook = self._slice_hook
+        hook = self._iteration_hook
         # The thread with the smallest virtual clock runs next, ties by
         # thread id.  Only the picked thread's clock moves within one
         # iteration (fast-forward, idle ticks, its quantum and the stack
         # walks it is charged), so replacing its entry after each move
-        # keeps heap[0] equal to min(threads, key=clock).  The heap is
-        # built here, so checkpoints need not carry it.
+        # keeps heap[0] equal to min(threads, key=clock).
         heap = [(t.clock, t.thread_id, t) for t in threads]
         heapify(heap)
         while main_task.state != "done":
             if hook is not None:
                 # Top-of-iteration safe point: every PMU counter is
                 # drained below the threshold and no instruction is
-                # mid-flight, so a checkpoint taken here (or a SliceStop
-                # raised here) cuts between whole scheduler steps.
+                # mid-flight.
                 hook(self)
             thread = heap[0][2]
             if thread.task is None:

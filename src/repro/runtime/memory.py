@@ -34,9 +34,6 @@ class Heap:
     """Allocation registry for one program run."""
 
     def __init__(self) -> None:
-        # Plain-int allocator (not itertools.count): heap ids are part
-        # of the run state a collection checkpoint snapshots, so the
-        # next id must survive a pickle round-trip exactly.
         self._next_id = 1
         self.allocations: dict[int, Allocation] = {}
         self.total_bytes = 0

@@ -76,7 +76,7 @@ class Task:
     so every run numbers its tasks 0, 1, 2, … regardless of what ran
     before it in the same process.  Repeat runs therefore produce
     identical sample streams, and an adaptively-stopped run replays
-    identically (the property per-shard collectors need too).
+    identically.
     """
 
     __slots__ = ("task_id", "frame", "state", "spawn", "is_main", "last_clock")
@@ -143,11 +143,7 @@ class Scheduler:
             raise RuntimeError_("need at least one thread")
         self.threads = [WorkerThread(i) for i in range(num_threads)]
         self.run_queue: deque[Task] = deque()
-        # Both allocators are plain ints, not itertools.count objects:
-        # their values are part of the run's snapshottable state (a
-        # resumed collector must hand out the same tags/ids the serial
-        # run would), and plain ints pickle with the rest of the
-        # scheduler where a count iterator could not be inspected.
+        #: Run-scoped spawn-tag allocator (1, 2, … in spawn order).
         self._next_spawn_tag = 1
         #: Run-scoped task-id allocator (main task gets 0, spawned
         #: workers 1, 2, … in spawn order — deterministic per run).

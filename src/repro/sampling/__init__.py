@@ -5,14 +5,6 @@ monitor, raw sample records, and address resolution (paper §IV.B–C).
 from .monitor import Monitor, OverheadStats, STACKWALK_CYCLES
 from .pmu import DEFAULT_THRESHOLD, PAPER_THRESHOLD, PMUConfig, is_prime, pick_prime_threshold
 from .records import RawSample
-from .sharding import (
-    ShardingError,
-    shard_bounds,
-    shard_bounds_weighted,
-    shard_of,
-    shard_stream,
-    shard_stream_weighted,
-)
 from .stackwalk import ResolvedFrame, StackResolver
 
 __all__ = [
@@ -24,13 +16,7 @@ __all__ = [
     "RawSample",
     "ResolvedFrame",
     "STACKWALK_CYCLES",
-    "ShardingError",
     "StackResolver",
     "is_prime",
     "pick_prime_threshold",
-    "shard_bounds",
-    "shard_bounds_weighted",
-    "shard_of",
-    "shard_stream",
-    "shard_stream_weighted",
 ]

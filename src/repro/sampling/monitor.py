@@ -62,13 +62,6 @@ class Monitor:
     keeps ``n_accepted == len(self.samples)``), and sample indices are
     assigned from it — so the stream a sink sees is record-for-record
     identical to what retain mode would have stored.
-
-    ``index_base`` positions this monitor inside a larger stream: a
-    slice worker collecting the run's samples from position *b* onward
-    passes ``index_base=b`` so its records carry the global indices the
-    single-monitor run would have assigned (``stream_index`` is the
-    global position, ``base + n_accepted``).  The default 0 is the
-    whole-run case.
     """
 
     def __init__(
@@ -77,14 +70,10 @@ class Monitor:
         charge_overhead: bool = True,
         sink=None,
         batch_size: int = 256,
-        index_base: int = 0,
     ) -> None:
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if index_base < 0:
-            raise ValueError("index_base must be >= 0")
         self.pmu = pmu or PMUConfig()
-        self.index_base = index_base
         self.samples: list[RawSample] = []
         self.quarantined: list[QuarantinedSample] = []
         self.overhead = OverheadStats()
@@ -111,7 +100,7 @@ class Monitor:
                 pre_spawn = tuple(task.spawn.pre_spawn_stack)
         self._ingest(
             RawSample(
-                index=self.index_base + self.n_accepted,
+                index=self.n_accepted,
                 thread_id=thread.thread_id,
                 task_id=task_id,
                 stack=tuple(stack),
@@ -170,21 +159,12 @@ class Monitor:
     def n_samples(self) -> int:
         return self.n_accepted
 
-    @property
-    def stream_index(self) -> int:
-        """Global stream position: accepted samples before this monitor
-        started (``index_base``) plus those it accepted itself.  The
-        slice machinery's stop conditions compare against this, so a
-        slice worker and the whole-run census agree on positions."""
-        return self.index_base + self.n_accepted
-
     def sealed_stream(self) -> bytes:
         """The retained sample stream as CRC-framed record lines — the
         same ``{"c": crc, "s": …}`` framing the v2 dataset journal and
         the ``.cbp`` artifact use (:func:`repro.sampling.dataset.
-        crc_line`), so per-slice streams can be byte-compared and
-        concatenated: sealing is per-record and indices are global,
-        which makes ``b"".join(slice streams) == serial stream``."""
+        crc_line`), so two runs' streams can be byte-compared or
+        hashed."""
         from .dataset import _sample_to_json, crc_line
 
         return "".join(
@@ -212,22 +192,3 @@ class Monitor:
         it is exact in sink mode too, where the stream is not retained."""
         return self._dataset_bytes
 
-
-def unseal_samples(blob: bytes) -> "list[RawSample]":
-    """Decodes a sealed stream (or a concatenation of sealed slice
-    streams) back into samples, verifying every record's CRC.  Raises
-    :class:`~repro.errors.DatasetCorruptError` on damage."""
-    from ..errors import DatasetCorruptError
-    from .dataset import _sample_from_json, check_line
-
-    samples: list[RawSample] = []
-    for line in blob.decode().splitlines():
-        if not line.strip():
-            continue
-        kind, payload = check_line(line)
-        if kind != "s":
-            raise DatasetCorruptError(
-                f"unexpected record kind {kind!r} in sealed sample stream"
-            )
-        samples.append(_sample_from_json(payload))
-    return samples

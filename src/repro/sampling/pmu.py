@@ -39,20 +39,6 @@ def pick_prime_threshold(target: int) -> int:
     return n
 
 
-def counters_drained(counters, threshold: float) -> bool:
-    """True when every PMU counter sits in ``[0, threshold)``.
-
-    This is the invariant at an interpreter event-loop safe point: due
-    overflows are drained before the scheduler yields, so a counter at
-    or past the threshold means the caller is mid-quantum — not a state
-    a collection checkpoint may capture or resume from.  (``threshold``
-    may be None for an unsampled run; everything is trivially drained.)
-    """
-    if threshold is None:
-        return True
-    return all(0.0 <= c < threshold for c in counters)
-
-
 @dataclass(frozen=True)
 class PMUConfig:
     """Sampling configuration: event + overflow threshold."""

@@ -33,7 +33,7 @@ import argparse
 import os
 import sys
 
-from ..errors import ArtifactError, ParallelError
+from ..errors import ArtifactError
 from ..pipeline.stages import render_stage
 from .profiler import Profiler
 
@@ -87,6 +87,20 @@ def _parse_config(pairs: list[str]) -> dict[str, object]:
                 value = {"true": True, "false": False}.get(raw.lower(), raw)
         out[name] = value
     return out
+
+
+def _parse_faults(ap: argparse.ArgumentParser, spec: str | None):
+    """The ``--inject-faults`` plan, or None; a bad spec exits 2 through
+    ``ap.error`` like any other bad flag."""
+    if spec is None:
+        return None
+    from ..errors import SampleFormatError
+    from ..resilience.faults import FaultPlan
+
+    try:
+        return FaultPlan.parse(spec)
+    except SampleFormatError as exc:
+        ap.error(f"--inject-faults: {exc}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -220,73 +234,6 @@ def profile_main(argv: list[str]) -> int:
         "quarantined (telemetry-health gate for CI)",
     )
     ap.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="shard post-mortem + attribution (and per-function static "
-        "analysis) across N pool workers; results are bit-identical "
-        "to --workers 1 (default: 1, the serial path)",
-    )
-    ap.add_argument(
-        "--collect-workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="partition the run's virtual clock into N simulated-time "
-        "slices and collect each under its own interpreter+monitor in "
-        "a pool worker; the reassembled stream (and every downstream "
-        "artifact/view) is byte-identical to --collect-workers 1 "
-        "(default: 1, one monitor for the whole run)",
-    )
-    ap.add_argument(
-        "--parallel-backend",
-        choices=["auto", "process", "interpreter", "inline"],
-        default="auto",
-        help="worker pool for --workers N: process pool, subinterpreter "
-        "pool (Python >= 3.14), or inline (sequential in-process; "
-        "mainly for testing). auto picks the best available",
-    )
-    ap.add_argument(
-        "--worker-timeout",
-        type=float,
-        default=None,
-        metavar="S",
-        help="with --workers N: per-shard-task wall-clock budget in "
-        "seconds; a task over budget is retried (or raced, with "
-        "--speculate)",
-    )
-    ap.add_argument(
-        "--worker-retries",
-        type=int,
-        default=2,
-        metavar="N",
-        help="with --workers N: attempts beyond the first before a "
-        "shard degrades into <unknown> with worker-failed provenance "
-        "(default: 2)",
-    )
-    ap.add_argument(
-        "--speculate",
-        action="store_true",
-        help="with --worker-timeout: race a timed-out task against a "
-        "fresh copy instead of abandoning it — first completed result "
-        "wins, the loser is cancelled",
-    )
-    ap.add_argument(
-        "--fail-on-degraded-shards",
-        action="store_true",
-        help="exit 4 when any shard exhausted its retries and was "
-        "folded into <unknown> (worker-health gate for CI)",
-    )
-    ap.add_argument(
-        "--shard-artifacts",
-        metavar="DIR",
-        help="with --workers N: also write each worker's partial "
-        "profile as DIR/shard-K.cbp plus DIR/tail.cbp (the phase-2 "
-        "recoveries and run-level counters); merging all of them "
-        "reproduces the main artifact",
-    )
-    ap.add_argument(
         "--adaptive",
         action="store_true",
         help="confidence-driven collection: profile in checkpointed "
@@ -329,36 +276,6 @@ def profile_main(argv: list[str]) -> int:
 
     if args.streaming and args.save_samples:
         ap.error("--save-samples needs the retained stream (drop --streaming)")
-    if args.workers < 1:
-        ap.error(f"--workers must be >= 1 (got {args.workers})")
-    if args.streaming and args.workers > 1:
-        ap.error("--streaming is incompatible with --workers > 1")
-    if args.shard_artifacts and args.workers <= 1:
-        ap.error("--shard-artifacts needs --workers > 1")
-    if args.worker_retries < 0:
-        ap.error(f"--worker-retries must be >= 0 (got {args.worker_retries})")
-    if args.worker_timeout is not None and args.worker_timeout <= 0.0:
-        ap.error(f"--worker-timeout must be > 0 (got {args.worker_timeout})")
-    if (args.worker_timeout is not None and args.workers <= 1
-            and args.collect_workers <= 1):
-        ap.error("--worker-timeout needs --workers or "
-                 "--collect-workers > 1")
-    if args.speculate and args.worker_timeout is None:
-        ap.error("--speculate needs --worker-timeout (it races the "
-                 "tasks that exceed it)")
-    if args.fail_on_degraded_shards and args.workers <= 1:
-        ap.error("--fail-on-degraded-shards needs --workers > 1")
-    if args.collect_workers < 1:
-        ap.error(f"--collect-workers must be >= 1 (got {args.collect_workers})")
-    if args.adaptive and args.collect_workers > 1:
-        ap.error(
-            "--collect-workers is incompatible with --adaptive: the "
-            "adaptive stopping decision depends on the sample stream "
-            "collected so far, so time slices cannot run independently "
-            "(drop one of the two)"
-        )
-    if args.streaming and args.collect_workers > 1:
-        ap.error("--streaming is incompatible with --collect-workers > 1")
     if not 0.0 < args.confidence < 1.0:
         ap.error(f"--confidence must be in (0, 1) exclusive (got {args.confidence})")
     if not 0.0 < args.ci_width < 1.0:
@@ -367,13 +284,11 @@ def profile_main(argv: list[str]) -> int:
         ap.error("--adaptive already streams in rounds (drop --streaming)")
     if args.adaptive and args.save_samples:
         ap.error("--save-samples needs the full stream (drop --adaptive)")
-    if args.adaptive and args.shard_artifacts:
-        ap.error("--shard-artifacts shards the materialized stream "
-                 "(incompatible with --adaptive)")
     if args.stability_window < 1:
         ap.error(f"--stability-window must be >= 1 (got {args.stability_window})")
     if args.round_samples < 1:
         ap.error(f"--round-samples must be >= 1 (got {args.round_samples})")
+    faults = _parse_faults(ap, args.inject_faults)
 
     try:
         with open(args.source) as f:
@@ -397,13 +312,7 @@ def profile_main(argv: list[str]) -> int:
         num_threads=args.threads,
         threshold=args.threshold,
         fast=args.fast,
-        faults=args.inject_faults,
-        workers=args.workers,
-        parallel_backend=args.parallel_backend,
-        worker_timeout=args.worker_timeout,
-        worker_retries=args.worker_retries,
-        speculate=args.speculate,
-        collect_workers=args.collect_workers,
+        faults=faults,
     )
     adaptive = None
     if args.adaptive:
@@ -415,15 +324,11 @@ def profile_main(argv: list[str]) -> int:
             stability_window=args.stability_window,
             round_samples=args.round_samples,
         )
-    try:
-        result = profiler.profile(
-            streaming=args.streaming,
-            batch_size=args.batch_size,
-            adaptive=adaptive,
-        )
-    except ParallelError as exc:
-        print(f"repro-profile: {exc}", file=sys.stderr)
-        return 2
+    result = profiler.profile(
+        streaming=args.streaming,
+        batch_size=args.batch_size,
+        adaptive=adaptive,
+    )
 
     if args.save_samples:
         from ..sampling.dataset import (
@@ -447,52 +352,19 @@ def profile_main(argv: list[str]) -> int:
             save_samples(args.save_samples, header, result.monitor.samples)
             print(f"[raw samples saved to {args.save_samples}]")
 
-    if args.output or args.shard_artifacts:
+    if args.output:
         from ..artifact import write_artifact
-        from ..artifact.model import (
-            canonicalize_timings,
-            relabel,
-            snapshot_from_result,
-        )
+        from ..artifact.model import snapshot_from_result
         from ..sampling.dataset import source_digest
 
-        digest = source_digest(source)
-        if result.parallel is not None:
-            # The sharded pipeline already reassembled its snapshot
-            # through merge_snapshots; stamp the run identity the serial
-            # path records and canonicalize host-measured timings so the
-            # bytes match --workers 1 exactly.
-            snapshot = result.parallel.snapshot
-            snapshot.meta = relabel(
-                snapshot.meta, source_sha256=digest, num_threads=args.threads
-            )
-            snapshot = canonicalize_timings(snapshot)
-        else:
-            snapshot = snapshot_from_result(
-                result,
-                source_sha256=digest,
-                num_threads=args.threads,
-                canonical_timings=True,
-            )
-        if args.output:
-            write_artifact(args.output, snapshot)
-            print(f"[profile artifact written to {args.output}]")
-        if args.shard_artifacts:
-            os.makedirs(args.shard_artifacts, exist_ok=True)
-            partials = [
-                (f"shard-{k}.cbp", shard)
-                for k, shard in enumerate(result.parallel.shard_snapshots)
-            ] + [("tail.cbp", result.parallel.tail_snapshot)]
-            for fname, shard in partials:
-                shard.meta = relabel(
-                    shard.meta, source_sha256=digest, num_threads=args.threads
-                )
-                path = os.path.join(args.shard_artifacts, fname)
-                write_artifact(path, canonicalize_timings(shard))
-            print(
-                f"[{len(partials)} partial artifacts "
-                f"(shards + tail) written to {args.shard_artifacts}]"
-            )
+        snapshot = snapshot_from_result(
+            result,
+            source_sha256=source_digest(source),
+            num_threads=args.threads,
+            canonical_timings=True,
+        )
+        write_artifact(args.output, snapshot)
+        print(f"[profile artifact written to {args.output}]")
 
     if args.show_output:
         for line in result.run_result.output:
@@ -518,41 +390,7 @@ def profile_main(argv: list[str]) -> int:
             f"{trail.samples_collected} samples ({trail.stop_reason})]"
         )
     _print_degradation(result)
-    if result.collect_parallel is not None:
-        pc = result.collect_parallel
-        census = (
-            "census cached"
-            if pc.census_cached
-            else f"census {pc.census_seconds:.2f}s"
-        )
-        recovered = (
-            f", recovered slices {list(pc.recovered_slices)}"
-            if pc.recovered_slices
-            else ""
-        )
-        # stderr, so stdout stays byte-comparable across --collect-workers N.
-        print(
-            f"[collect: {pc.workers} slice workers via {pc.backend}, "
-            f"slices {pc.slice_counts}, {census}{recovered}]",
-            file=sys.stderr,
-        )
-    if result.parallel is not None:
-        par = result.parallel
-        # stderr, so stdout stays byte-comparable across --workers N.
-        print(
-            f"[parallel: {par.workers} workers via {par.backend}, "
-            f"shards {par.shard_sizes}]",
-            file=sys.stderr,
-        )
-        if par.supervision is not None:
-            print(
-                f"[supervision: {par.supervision.summary()}]",
-                file=sys.stderr,
-            )
-    gate = _quarantine_gate(result, args.fail_on_quarantine_rate)
-    if gate:
-        return gate
-    return _degraded_shard_gate(result, args.fail_on_degraded_shards)
+    return _quarantine_gate(result, args.fail_on_quarantine_rate)
 
 
 def view_main(argv: list[str]) -> int:
@@ -730,23 +568,6 @@ def _quarantine_gate(result, limit: float | None) -> int:
     return 0
 
 
-def _degraded_shard_gate(result, enabled: bool) -> int:
-    """Exit 4 when shards were folded into ``<unknown>`` and the
-    worker-health gate is armed."""
-    if not enabled or result.parallel is None:
-        return 0
-    degraded = result.parallel.degraded_shards
-    if degraded:
-        ids = ", ".join(str(i) for i in degraded)
-        print(
-            f"shard(s) {ids} degraded after exhausting worker retries "
-            f"(--fail-on-degraded-shards)",
-            file=sys.stderr,
-        )
-        return 4
-    return 0
-
-
 def _benchmark_source(spec: str) -> tuple[str, str]:
     """Resolves ``name[:variant]`` to (source text, display filename).
 
@@ -874,6 +695,7 @@ def advise_main(argv: list[str] | None = None) -> int:
 
     if (args.source is None) == (args.benchmark is None):
         ap.error("give exactly one of SOURCE or --benchmark")
+    faults = _parse_faults(ap, args.inject_faults)
     if args.benchmark:
         source, filename = _benchmark_source(args.benchmark)
     else:
@@ -891,7 +713,7 @@ def advise_main(argv: list[str] | None = None) -> int:
                 config=_parse_config(args.config),
                 num_threads=args.threads,
                 threshold=args.threshold,
-                faults=args.inject_faults,
+                faults=faults,
             )
             result = profiler.profile()
             module = result.module

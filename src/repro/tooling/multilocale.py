@@ -230,9 +230,9 @@ def _run_one_locale(
     retry_backoff: float,
     drop_stragglers: bool,
 ) -> tuple[LocaleOutcome, ProfileResult | None]:
-    """One locale with bounded retry + backoff (the shared
-    :func:`~repro.resilience.retrying.backoff_attempts` schedule —
-    the same arithmetic the shard supervisor uses); never raises."""
+    """One locale with bounded retry + backoff (the
+    :func:`~repro.resilience.retrying.backoff_attempts` schedule);
+    never raises."""
     attempts = 0
     last_error: str | None = None
     last_status = "crashed"

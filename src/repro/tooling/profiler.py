@@ -6,8 +6,8 @@
 4. data presentation → :class:`~repro.blame.BlameReport` (+ views)
 
 The stages themselves live in :mod:`repro.pipeline.stages`;
-:class:`Profiler` is the driver that wires them together, in one of two
-ways:
+:class:`Profiler` is the driver that wires them together, in one of
+three ways:
 
 * ``profile()`` — the historical materialized run: collect the whole
   sample stream, then consolidate it;
@@ -16,7 +16,9 @@ ways:
   :class:`~repro.blame.postmortem.PostmortemConsumer` (through the
   fault injector's streaming degrader when faults are enabled), so at
   no point is the full ``list[RawSample]`` resident.  Same report,
-  bounded peak memory.
+  bounded peak memory;
+* ``profile(adaptive=...)`` — streaming rounds that stop collection
+  once the blame ranking is statistically settled.
 
 Typical use::
 
@@ -73,14 +75,6 @@ class ProfileResult:
     interpreter: "Interpreter | None" = None
     #: What fault injection did to this run (None on clean runs).
     fault_stats: "object | None" = None
-    #: Sharded-pipeline outcome when the run used ``workers > 1``
-    #: (carries the merged snapshot, per-shard partials and timings).
-    parallel: "object | None" = None
-    #: Sliced-collection outcome when the run used
-    #: ``collect_workers > 1``
-    #: (:class:`~repro.pipeline.parallel.ParallelCollection`: per-slice
-    #: streams/timings, census accounting, the identity witness).
-    collect_parallel: "object | None" = None
     #: Decision trail of an adaptive run
     #: (:class:`~repro.sampling.adaptive.AdaptiveTrail`; None otherwise).
     adaptive: "object | None" = None
@@ -128,12 +122,6 @@ class Profiler:
         skid: int = 0,
         skid_compensation: bool = False,
         faults: "object | str | None" = None,
-        workers: int = 1,
-        parallel_backend: str = "auto",
-        worker_timeout: "float | None" = None,
-        worker_retries: int = 2,
-        speculate: bool = False,
-        collect_workers: int = 1,
     ) -> None:
         if isinstance(source, Module):
             self.module = source
@@ -159,71 +147,10 @@ class Profiler:
 
             faults = FaultPlan.parse(faults)
         self.faults = faults
-        if workers < 1:
-            from ..errors import ParallelError
 
-            raise ParallelError(f"need at least one worker (got {workers})")
-        if worker_retries < 0:
-            from ..errors import ParallelError
-
-            raise ParallelError(
-                f"worker_retries must be >= 0 (got {worker_retries})"
-            )
-        if collect_workers < 1:
-            from ..errors import ParallelError
-
-            raise ParallelError(
-                f"need at least one collection worker (got {collect_workers})"
-            )
-        self.workers = workers
-        self.parallel_backend = parallel_backend
-        self.worker_timeout = worker_timeout
-        self.worker_retries = worker_retries
-        self.speculate = speculate
-        self.collect_workers = collect_workers
-
-    def _supervision(self, inject: bool = True):
-        """The shard-supervision config for pool fan-outs (None on the
-        serial path — there is no pool to supervise).
-
-        ``inject=False`` keeps the retry/timeout/speculation machinery
-        but drops the injected transport schedule: the fault grammar's
-        task indices name *post-mortem shards*, so the analysis fan-out
-        (whose batches share those indices) is supervised against real
-        faults only — otherwise ``worker-dead=K`` would abort the run
-        in step 1 instead of degrading shard K gracefully in step 3.
-        """
-        if self.workers <= 1:
-            return None
-        from ..pipeline.supervisor import SupervisorConfig
-
-        return SupervisorConfig(
-            plan=self.faults if inject else None,
-            timeout=self.worker_timeout,
-            max_retries=self.worker_retries,
-            speculate=self.speculate,
-        )
-
-    def _collect_supervision(self):
-        """Shard supervision for the sliced-collection fan-out (None
-        when collection is serial).  Transport faults DO inject here —
-        a lost slice replays deterministically from its checkpoint, so
-        the schedule exercises recovery without costing identity."""
-        if self.collect_workers <= 1:
-            return None
-        from ..pipeline.supervisor import SupervisorConfig
-
-        return SupervisorConfig(
-            plan=self.faults,
-            timeout=self.worker_timeout,
-            max_retries=self.worker_retries,
-            speculate=self.speculate,
-        )
-
-    def _collect(self):
-        """Step 2 for the materialized paths: serial when
-        ``collect_workers == 1``, virtual-clock-sliced otherwise (the
-        reassembled monitor/stream is byte-identical either way)."""
+    def _collect(self, sink=None, batch_size: int = 256):
+        """Step 2 — execution under the monitor (retained, or sunk in
+        batches when ``sink`` is given)."""
         return collect_stage(
             self.module,
             config=self.config,
@@ -232,9 +159,8 @@ class Profiler:
             cost_model=self.cost_model,
             skid=self.skid,
             skid_compensation=self.skid_compensation,
-            workers=self.collect_workers,
-            backend=self.parallel_backend,
-            supervision=self._collect_supervision(),
+            sink=sink,
+            batch_size=batch_size,
         )
 
     def _injector(self):
@@ -261,57 +187,20 @@ class Profiler:
         :class:`~repro.blame.postmortem.PostmortemConsumer`).  On a
         clean run both paths produce identical reports.
 
-        With ``workers > 1`` (and not streaming) post-mortem and
-        attribution run sharded across a worker pool — see
-        :mod:`repro.pipeline.parallel` — producing bit-identical
-        results; the outcome rides on ``ProfileResult.parallel``.
-
         ``adaptive`` (an
         :class:`~repro.sampling.adaptive.AdaptiveConfig`, or ``True``
         for the defaults) switches to confidence-driven collection:
         streaming rounds with incremental attribution, stopping early
         once the blame ranking is statistically settled — see
-        :mod:`repro.sampling.adaptive`.  Composes with ``workers > 1``
-        (static analysis still fans out; collection is inherently
-        serial) and with fault injection (degraded telemetry widens the
-        intervals, delaying the stop).
+        :mod:`repro.sampling.adaptive`.  Composes with fault injection
+        (degraded telemetry widens the intervals, delaying the stop).
         """
         if adaptive is not None and streaming:
             raise ValueError(
                 "adaptive mode already streams in rounds; drop streaming=True"
             )
-        if streaming and self.workers > 1:
-            from ..errors import ParallelError
-
-            raise ParallelError(
-                "streaming mode is incompatible with workers > 1: the "
-                "bounded evidence window resolves candidates mid-stream, "
-                "which has no faithful sharded equivalent"
-            )
-        if self.collect_workers > 1 and adaptive is not None:
-            from ..errors import ParallelError
-
-            raise ParallelError(
-                "adaptive sampling is incompatible with collect_workers "
-                "> 1: the stopping decision depends on the stream so "
-                "far, so slices cannot be collected independently"
-            )
-        if self.collect_workers > 1 and streaming:
-            from ..errors import ParallelError
-
-            raise ParallelError(
-                "streaming mode is incompatible with collect_workers > "
-                "1: sliced collection retains per-slice streams and has "
-                "no bounded-memory sink"
-            )
-        # Step 1 — static analysis (fanned out when workers > 1).
-        static_info = analyze_stage(
-            self.module,
-            options=self.blame_options,
-            workers=self.workers,
-            backend=self.parallel_backend,
-            supervision=self._supervision(inject=False),
-        )
+        # Step 1 — static analysis.
+        static_info = analyze_stage(self.module, options=self.blame_options)
         injector = self._injector()
 
         if adaptive is not None:
@@ -320,9 +209,6 @@ class Profiler:
             if adaptive is True:
                 adaptive = AdaptiveConfig()
             return self._profile_adaptive(static_info, injector, adaptive)
-
-        if self.workers > 1:
-            return self._profile_parallel(static_info, injector)
 
         if streaming:
             consumer = PostmortemConsumer(
@@ -342,24 +228,13 @@ class Profiler:
 
             # Step 2 — execution, sinking batches as they fill (step 3
             # runs incrementally inside the sink).
-            coll = collect_stage(
-                self.module,
-                config=self.config,
-                num_threads=self.num_threads,
-                threshold=self.threshold,
-                cost_model=self.cost_model,
-                skid=self.skid,
-                skid_compensation=self.skid_compensation,
-                sink=sink,
-                batch_size=batch_size,
-            )
+            coll = self._collect(sink=sink, batch_size=batch_size)
             t0 = time.perf_counter()
             pm = consumer.finish()
             attribution = attribute_stage(static_info, pm)
             postmortem_seconds = pm_clock[0] + time.perf_counter() - t0
         else:
-            # Step 2 — execution under the monitor, stream retained
-            # (virtual-clock-sliced when collect_workers > 1).
+            # Step 2 — execution under the monitor, stream retained.
             coll = self._collect()
 
             # Optional fault injection between steps 2 and 3: the
@@ -403,66 +278,7 @@ class Profiler:
             report=report,
             interpreter=coll.interpreter,
             fault_stats=injector.stats if injector is not None else None,
-            collect_parallel=coll.parallel,
         )
-
-    def _profile_parallel(self, static_info, injector) -> ProfileResult:
-        """The sharded path: collection (serial, or virtual-clock-sliced
-        when ``collect_workers > 1`` — either way the stream is the
-        serial stream), then pool-parallel post-mortem + attribution
-        reassembled through ``merge_snapshots``."""
-        from ..pipeline.parallel import parallel_postmortem
-
-        # Step 2 — execution under the monitor, stream retained.
-        coll = self._collect()
-        monitor = coll.monitor
-        # Degrade BEFORE sharding (the streaming degrader is
-        # chunking-invariant, so every shard sees exactly the degraded
-        # records a serial pass would have seen).
-        samples = monitor.samples
-        if injector is not None:
-            samples = injector.degrade_samples(samples)
-
-        # Steps 3 + 4 — sharded post-mortem/attribution, merged partial
-        # snapshots (parallel.py documents the bit-identity argument).
-        par = parallel_postmortem(
-            self.module,
-            static_info,
-            samples,
-            workers=self.workers,
-            backend=self.parallel_backend,
-            options=static_info.options,
-            program=self.program_name,
-            wall_seconds=coll.run_result.wall_seconds,
-            dataset_bytes=monitor.dataset_size_bytes(),
-            stackwalk_cycles=monitor.overhead.stackwalk_cycles_total,
-            monitor_quarantine=monitor.quarantine_by_reason(),
-            monitor_quarantine_provenance=[
-                (q.reason, q.sample.index) for q in monitor.quarantined
-            ],
-            min_blame=self.min_blame,
-            include_temps=self.include_temps,
-            threshold=self.threshold,
-            num_threads=self.num_threads,
-            fault_stats=(
-                injector.stats.as_dict() if injector is not None else None
-            ),
-            supervision=self._supervision(),
-        )
-        return ProfileResult(
-            module=self.module,
-            static_info=static_info,
-            monitor=monitor,
-            run_result=coll.run_result,
-            postmortem=par.postmortem,
-            attribution=par.attribution,
-            report=par.snapshot.report,
-            interpreter=coll.interpreter,
-            fault_stats=injector.stats if injector is not None else None,
-            parallel=par,
-            collect_parallel=coll.parallel,
-        )
-
 
     def _profile_adaptive(self, static_info, injector, config) -> ProfileResult:
         """Confidence-driven collection: the monitor sinks rounds into

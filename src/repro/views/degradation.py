@@ -9,8 +9,13 @@ what it was before resilience existed.
 
 from __future__ import annotations
 
-from ..blame.postmortem import REASON_WORKER_FAILED
 from ..blame.report import BlameReport
+
+#: Provenance reason of samples from a shard whose pool worker exhausted
+#: its retries.  No current run produces it; artifacts written by the
+#: former sharded post-mortem (``--workers``) carry it, and still render
+#: their note.
+REASON_WORKER_FAILED = "worker-failed"
 
 
 def degradation_lines(report: BlameReport) -> list[str]:

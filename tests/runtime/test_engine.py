@@ -182,7 +182,7 @@ def run_traced(module, engine, monkeypatch, *, threshold, quantum, num_threads=3
             [(t.task_id, t.last_clock) for t in tasks],
         ))
 
-    interp._slice_hook = record
+    interp._iteration_hook = record
     overflow = interp._pmu_overflow
     leaving = [0]
 
