@@ -44,6 +44,8 @@ from repro.sampling.adaptive import AdaptiveConfig
 from repro.tooling.profiler import Profiler
 
 NUM_THREADS = 12
+#: Samples per batch, i.e. per adaptive round.
+BATCH_SIZE = 256
 RESULT_PATH = os.path.join(
     os.path.dirname(__file__), "..", "BENCH_adaptive.json"
 )
@@ -98,7 +100,7 @@ def measure_workload(name: str) -> dict:
 
     full = profiler().profile()
     adaptive = profiler().profile(
-        adaptive=AdaptiveConfig(ci_width=ci_width, round_samples=256)
+        adaptive=AdaptiveConfig(ci_width=ci_width), batch_size=BATCH_SIZE
     )
     trail = adaptive.adaptive
     full_samples = full.monitor.n_samples
@@ -125,7 +127,7 @@ def run_adaptive_bench(quick: bool = False) -> dict:
     results = {
         "config": {
             "num_threads": NUM_THREADS,
-            "round_samples": 256,
+            "round_samples": BATCH_SIZE,
             "gates": {
                 "min_reduction": MIN_REDUCTION,
                 "top5_overlap": 1.0,

@@ -49,7 +49,7 @@ proc main() {
 def main() -> None:
     result = Profiler(
         SOURCE, filename="nested.chpl", num_threads=8, threshold=1009
-    ).profile()
+    ).profile(keep_samples=True)
 
     print("=" * 72)
     print("1) pprof-style code-centric (raw stacks)")

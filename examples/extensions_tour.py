@@ -50,7 +50,9 @@ def main() -> None:
     print("=" * 72)
     print("1) Iterators: blame attributes the iterator's work in main")
     print("=" * 72)
-    res = Profiler(module, num_threads=8, threshold=809).profile()
+    res = Profiler(module, num_threads=8, threshold=809).profile(
+        keep_samples=True
+    )
     print(render_data_centric(res.report, top=8, min_blame=0.02))
 
     print()

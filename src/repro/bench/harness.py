@@ -110,7 +110,8 @@ def profile_variant(
     num_threads: int = NUM_THREADS,
     threshold: int = PROFILE_THRESHOLD,
 ) -> ProfileResult:
-    """Full blame profile of one run."""
+    """Full blame profile of one run, raw stream kept on
+    ``monitor.samples`` for the pprof/HPCToolkit baselines."""
     return Profiler(
         source,
         filename=name,
@@ -118,7 +119,7 @@ def profile_variant(
         num_threads=num_threads,
         threshold=threshold,
         fast=fast,
-    ).profile()
+    ).profile(keep_samples=True)
 
 
 # ---------------------------------------------------------------------------

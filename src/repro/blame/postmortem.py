@@ -29,10 +29,9 @@ as the monitor hands them over and call :meth:`~PostmortemConsumer.finish`
 once, so no stage ever needs the whole ``list[RawSample]`` resident.
 The recovery evidence (spawn-tag index, continuation suffixes) is
 accumulated incrementally from intact instances as they are emitted;
-degraded candidates wait in a held-back buffer that the
-``evidence_window`` parameter bounds.  :func:`process_samples` is the
-one-shot wrapper (one batch, unbounded window) and behaves exactly as
-it always has.
+degraded candidates wait in a held-back buffer until ``finish``, so
+the result never depends on how the stream was batched.
+:func:`process_samples` is the one-shot wrapper (one batch).
 """
 
 from __future__ import annotations
@@ -89,8 +88,8 @@ class PostmortemResult:
     """Outcome of post-mortem processing."""
 
     instances: list[Instance]
-    #: Idle / pure-runtime samples (kept for the code-centric view;
-    #: empty in bounded-memory streaming mode — see ``n_runtime``).
+    #: Idle / pure-runtime samples (empty when the consumer counts them
+    #: without keeping them, as the profiler's does — see ``n_runtime``).
     runtime_samples: list[RawSample]
     n_raw: int
     #: Unattributable samples, by provenance (tolerant mode only).
@@ -156,13 +155,9 @@ class PostmortemConsumer:
     * intact samples are consolidated and released immediately — only
       the emitted :class:`Instance` (and the deduplicated recovery
       evidence derived from it) survives the batch;
-    * degraded samples wait in a held-back candidate buffer.
-      ``evidence_window`` bounds that buffer: when more than this many
-      candidates are pending, the oldest are resolved early against the
-      evidence collected so far (best-effort — evidence that would only
-      arrive later in the run cannot repair an early-flushed sample).
-      ``None`` (the default) holds all candidates to the end, matching
-      the one-shot semantics exactly;
+    * degraded samples wait in a held-back candidate buffer until
+      :meth:`finish`, so evidence from anywhere in the run can repair
+      them;
     * ``keep_runtime_samples=False`` additionally drops idle/runtime
       samples after counting them (the views only use the count);
     * each distinct intact path is consolidated once: its instances
@@ -174,7 +169,6 @@ class PostmortemConsumer:
         module: Module,
         options: object | None = None,
         tolerant: bool = False,
-        evidence_window: int | None = None,
         keep_runtime_samples: bool = True,
     ) -> None:
         from .options import FULL
@@ -182,9 +176,6 @@ class PostmortemConsumer:
         self.module = module
         self.options = options or FULL
         self.tolerant = tolerant
-        if evidence_window is not None and evidence_window < 1:
-            raise ValueError("evidence_window must be >= 1 (or None)")
-        self.evidence_window = evidence_window
         self.keep_runtime_samples = keep_runtime_samples
 
         self._resolver = StackResolver(module)
@@ -239,19 +230,6 @@ class PostmortemConsumer:
             raise RuntimeError("PostmortemConsumer.feed() after finish()")
         for s in batch:
             self._consume(s)
-        if (
-            self.evidence_window is not None
-            and len(self._candidates) > self.evidence_window
-        ):
-            # Bounded evidence window: resolve the overflow (oldest
-            # first) against whatever evidence exists right now.
-            overflow = len(self._candidates) - self.evidence_window
-            flush, self._candidates = (
-                self._candidates[:overflow],
-                self._candidates[overflow:],
-            )
-            for c in flush:
-                self._n_late_recovered += self._resolve_candidate(c)
 
     def finish(self) -> PostmortemResult:
         """Resolves remaining candidates and returns the result."""

@@ -31,6 +31,11 @@ class SampleFormatError(ReproError, ValueError):
     unsupported version."""
 
 
+class ConfigError(ReproError, ValueError):
+    """A config override (``--config name=value``) does not convert to
+    the type of the ``config const`` it sets."""
+
+
 class DebugInfoError(ReproError):
     """An address could not be resolved against the debug info (strict
     resolution only — the tolerant pipeline buckets these instead)."""

@@ -35,6 +35,7 @@ from ..compiler.lower import compile_source
 from ..ir.module import Module
 from ..runtime.costmodel import CostModel
 from ..runtime.interpreter import Interpreter, RunResult
+from ..sampling.adaptive import StopSampling
 from ..sampling.monitor import Monitor
 from ..sampling.pmu import DEFAULT_THRESHOLD, PMUConfig
 from ..sampling.records import RawSample
@@ -91,15 +92,24 @@ def collect_stage(
     skid_compensation: bool = False,
     sink=None,
     batch_size: int = 256,
+    keep_samples: bool = False,
 ) -> Collection:
     """Step 2 — execution under the monitor.
 
     Pass ``sink`` to stream sample batches out as they are collected
     (bounded memory) instead of retaining the whole run; the final
-    partial batch is flushed before this returns.
+    partial batch is flushed before this returns.  ``keep_samples``
+    also tees every batch into ``monitor.samples``.
+
+    A sink may halt collection by raising
+    :exc:`~repro.sampling.adaptive.StopSampling`: the event loop
+    unwinds and the run result covers exactly the truncated execution.
     """
     monitor = Monitor(
-        PMUConfig(threshold=threshold), sink=sink, batch_size=batch_size
+        PMUConfig(threshold=threshold),
+        sink=sink,
+        batch_size=batch_size,
+        keep_samples=keep_samples,
     )
     interp = Interpreter(
         module,
@@ -111,8 +121,11 @@ def collect_stage(
         skid=skid,
         skid_compensation=skid_compensation,
     )
-    run_result = interp.run()
-    monitor.flush()
+    try:
+        run_result = interp.run()
+    except StopSampling:
+        run_result = interp.build_run_result()
+    monitor.close()
     interp.release_monitor()
     return Collection(monitor=monitor, interpreter=interp, run_result=run_result)
 
@@ -125,9 +138,10 @@ def postmortem_stage(
 ) -> PostmortemResult:
     """Step 3a — stack consolidation over a materialized stream.
 
-    (The streaming driver bypasses this wrapper and feeds a
+    (The profiler bypasses this wrapper and feeds a
     :class:`~repro.blame.postmortem.PostmortemConsumer` directly from
-    the collect-stage sink.)
+    the collect-stage sink; this one-shot form is the oracle the
+    batched loop is tested against.)
     """
     return process_samples(module, samples, options=options, tolerant=tolerant)
 

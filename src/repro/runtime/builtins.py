@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
+from ..errors import ConfigError
 from .costmodel import CLOCK_HZ
 from .values import ArrayValue, RuntimeError_, copy_value, format_value, value_slots
 
@@ -119,7 +120,13 @@ def _config_get(cast):
     def impl(interp, thread, args):
         name, default = args
         value = interp.config.get(name, default)
-        return cast(value), interp.cost_model.config_get
+        try:
+            return cast(value), interp.cost_model.config_get
+        except (TypeError, ValueError):
+            raise ConfigError(
+                f"config {name!r}: {value!r} is not a valid "
+                f"{cast.__name__}"
+            ) from None
 
     return impl
 

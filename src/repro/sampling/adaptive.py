@@ -5,12 +5,13 @@ ranking is statistically settled long before the workload finishes.
 This module adds the control loop the ROADMAP calls "the biggest
 wall-clock lever for serving profile requests at interactive latency":
 
-* the :class:`Monitor` delivers samples in **rounds** (its sink-mode
-  batches, ``round_samples`` per round);
-* each round is fed through the (optionally fault-degraded) stream into
-  the streaming :class:`~repro.blame.postmortem.PostmortemConsumer`,
-  and only the **newly consolidated instances** are attributed — the
-  running total is combined with
+* a **round** is one batch of the profiler's collection loop: the
+  :class:`Monitor` delivers ``batch_size`` samples at a time, the
+  profiler feeds each batch (fault-degraded when faults are on) into
+  its :class:`~repro.blame.postmortem.PostmortemConsumer`, then hands
+  the round to :class:`AdaptiveController`, its stop policy;
+* the controller attributes only the **newly consolidated instances**
+  — the running total is combined with
   :func:`~repro.blame.attribution.merge_attributions`, so a checkpoint
   costs the delta, not a re-pass (the content-hash caches make the
   per-instance work itself cache-hot);
@@ -29,8 +30,8 @@ wall-clock lever for serving profile requests at interactive latency":
 * when the rule fires, :exc:`StopSampling` is raised out of the sink,
   unwinds the interpreter (both engines deliver PMU overflows outside
   their error-wrapping regions, so the exception propagates cleanly),
-  and the driver assembles a partial run result — the samples after the
-  stopping point are simply never generated.
+  and ``collect_stage`` assembles a partial run result — the samples
+  after the stopping point are simply never generated.
 
 Degraded telemetry (quarantined samples, unresolved repair candidates)
 widens the intervals and therefore *delays* stopping; it can never
@@ -88,8 +89,6 @@ class AdaptiveConfig:
     stability_window: int = 3
     #: Rows whose intervals and ranking the rule watches.
     top_n: int = 5
-    #: Samples per round (the monitor's sink batch size).
-    round_samples: int = 256
     #: Rounds that must elapse before the rule may fire at all.
     min_rounds: int = 2
     #: Kendall-τ floor between consecutive checkpoints.
@@ -109,8 +108,6 @@ class AdaptiveConfig:
             )
         if self.stability_window < 1:
             raise ValueError("stability_window must be >= 1")
-        if self.round_samples < 1:
-            raise ValueError("round_samples must be >= 1")
         if self.top_n < 1:
             raise ValueError("top_n must be >= 1")
         if self.method not in METHODS:
@@ -181,6 +178,7 @@ class AdaptiveTrail:
     ci_width: float = 0.02
     stability_window: int = 3
     top_n: int = 5
+    #: Samples per round: the batch size the run collected with.
     round_samples: int = 256
     method: str = "wilson"
     #: Samples the full run would have taken, when a baseline is known
@@ -231,27 +229,29 @@ class AdaptiveTrail:
 
 
 class AdaptiveController:
-    """Round scheduler + stopping rule, packaged as a monitor sink.
+    """The stopping rule, packaged as the collection loop's stop policy.
 
     Wire-up (the profiler does this; tests can too)::
 
         consumer = PostmortemConsumer(module, tolerant=True, ...)
         ctl = AdaptiveController(cfg, static_info, consumer,
-                                 degrade=injector.degrader(), program=...)
-        monitor = Monitor(pmu, sink=ctl.sink,
-                          batch_size=cfg.round_samples)
-        ctl.bind_monitor(monitor)
-        try:
-            run_result = interp.run()
-        except StopSampling:
-            ...
-        ctl.close()          # final (partial) round never raises
-        monitor.flush()
+                                 batch_size=256, program=...)
+
+        def sink(batch):
+            consumer.feed(degrade(batch))
+            ctl.sink(batch)          # may raise StopSampling
+
+        collect_stage(module, ..., sink=sink, batch_size=256)
+        pm = consumer.finish()
         attribution = ctl.finish()   # == attribute(pm.instances) exactly
 
+    A batch shorter than ``batch_size`` only ever comes from the
+    monitor's final flush, after the workload has finished: that round
+    is recorded but never stops anything.
+
     Incremental-attribution invariant: ``finish()`` attributes the
-    post-``finish`` recovered instances as one last delta and merges it
-    with the per-round deltas; by the
+    instances the consumer's ``finish()`` recovered as one last delta
+    and merges it with the per-round deltas; by the
     :func:`~repro.blame.attribution.merge_attributions` contract the
     merged result equals a single attribution pass over every
     consolidated instance — checked in ``tests/sampling/test_adaptive.py``.
@@ -262,14 +262,14 @@ class AdaptiveController:
         config: AdaptiveConfig,
         static_info,
         consumer,
-        degrade=None,
+        batch_size: int = 256,
         program: str = "",
         include_temps: bool = False,
     ) -> None:
         config.validate()
         self.config = config
         self.consumer = consumer
-        self.degrade = degrade
+        self.batch_size = batch_size
         self.program = program
         self.include_temps = include_temps
         self.attributor = BlameAttributor(static_info)
@@ -279,10 +279,9 @@ class AdaptiveController:
             ci_width=config.ci_width,
             stability_window=config.stability_window,
             top_n=config.top_n,
-            round_samples=config.round_samples,
+            round_samples=batch_size,
             method=config.method,
         )
-        self.monitor = None
         self._attribution: AttributionResult | None = None
         self._n_attributed = 0
         self._n_fed = 0
@@ -291,35 +290,14 @@ class AdaptiveController:
         #: up the newest checkpoint at ≤ half the current sample count.
         self._history: list[tuple[int, BlameReport]] = []
         self._streak = 0
-        self._closing = False
         self._finished = False
-
-    def bind_monitor(self, monitor) -> None:
-        """Lets the stopping rule count ingest-time quarantine (which
-        happens inside the monitor, before the sink sees anything)."""
-        self.monitor = monitor
-
-    # -- sink protocol ---------------------------------------------------------
-
-    def sink(self, batch) -> None:
-        """One round: feed, attribute the delta, evaluate the rule."""
-        self._round(batch)
-
-    def close(self) -> None:
-        """Enters closing mode: the final partial round (delivered by
-        ``monitor.flush()`` after a natural run completion) is still
-        recorded, but the rule never raises again."""
-        self._closing = True
 
     # -- the round -------------------------------------------------------------
 
     def _degraded_count(self) -> int:
-        """Samples whose blame is currently unknown: quarantined at
-        ingest or post-mortem, plus repair candidates still held back."""
-        n = self.consumer.n_quarantined + self.consumer.pending_candidates
-        if self.monitor is not None:
-            n += self.monitor.n_quarantined
-        return n
+        """Samples whose blame is currently unknown: quarantined in
+        post-mortem, plus repair candidates still held back."""
+        return self.consumer.n_quarantined + self.consumer.pending_candidates
 
     def _attribute_delta(self) -> None:
         new = self.consumer.instances_since(self._n_attributed)
@@ -351,11 +329,12 @@ class AdaptiveController:
             ),
         )
 
-    def _round(self, batch) -> None:
+    def sink(self, batch) -> None:
+        """One round, after the consumer has taken ``batch``: attribute
+        the delta, evaluate the rule, maybe raise :exc:`StopSampling`."""
         cfg = self.config
-        self._n_fed += len(batch)
-        chunk = self.degrade(batch) if self.degrade is not None else batch
-        self.consumer.feed(chunk)
+        n_raw = len(batch)
+        self._n_fed += n_raw
         self._attribute_delta()
         report = self._interim_report()
         degraded = self._degraded_count()
@@ -416,8 +395,9 @@ class AdaptiveController:
                 intervals=tuple(tuple(iv.as_row()) for iv in intervals),
             )
         )
+        # A short batch is the final flush: the workload is already over.
         if (
-            not self._closing
+            n_raw == self.batch_size
             and n_round >= cfg.min_rounds
             and self._streak >= cfg.stability_window
         ):
@@ -427,9 +407,8 @@ class AdaptiveController:
 
     # -- completion ------------------------------------------------------------
 
-    def finish(self):
-        """Finalizes post-mortem + attribution; returns ``(pm,
-        attribution)``.
+    def finish(self) -> AttributionResult:
+        """The run's attribution, once the consumer has finished.
 
         The consumer's ``finish()`` resolves held-back candidates, which
         may *append* recovered instances — those are attributed as one
@@ -438,9 +417,6 @@ class AdaptiveController:
         """
         assert not self._finished, "finish() called twice"
         self._finished = True
-        pm = self.consumer.finish()
         self._attribute_delta()
-        self.trail.samples_collected = (
-            self.monitor.n_accepted if self.monitor is not None else self._n_fed
-        )
-        return pm, self._attribution
+        self.trail.samples_collected = self._n_fed
+        return self._attribution

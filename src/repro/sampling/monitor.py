@@ -49,19 +49,21 @@ class Monitor:
     Two modes:
 
     * **retain** (default): every accepted sample is appended to
-      ``self.samples`` — the historical behaviour, used wherever the
-      caller wants the raw stream afterwards (``--save-samples``,
-      baseline attributors, tests);
+      ``self.samples``, for callers that want the raw stream afterwards
+      (baseline attributors, tests);
     * **sink**: pass a ``sink`` callable and samples are delivered in
       batches of ``batch_size`` as collection proceeds, with only the
       current partial batch resident (``peak_resident`` records the
-      high-water mark).  ``self.samples`` stays empty; call
-      :meth:`flush` after the run to deliver the final partial batch.
+      high-water mark).  Call :meth:`close` after the run to deliver
+      the final partial batch and release the sink.  ``self.samples``
+      stays empty unless ``keep_samples`` tees each batch into it
+      before the sink sees it (``--save-samples``), so it holds every
+      batch delivered — up to the stopping point when the sink halts
+      collection.
 
-    ``n_accepted`` counts accepted samples in both modes (retain mode
-    keeps ``n_accepted == len(self.samples)``), and sample indices are
-    assigned from it — so the stream a sink sees is record-for-record
-    identical to what retain mode would have stored.
+    ``n_accepted`` counts accepted samples in both modes, and sample
+    indices are assigned from it — so the stream a sink sees is
+    record-for-record identical to what retain mode would have stored.
     """
 
     def __init__(
@@ -70,6 +72,7 @@ class Monitor:
         charge_overhead: bool = True,
         sink=None,
         batch_size: int = 256,
+        keep_samples: bool = False,
     ) -> None:
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
@@ -80,6 +83,7 @@ class Monitor:
         self.charge_overhead = charge_overhead
         self.sink = sink
         self.batch_size = batch_size
+        self.keep_samples = keep_samples
         #: Accepted-sample count (== ``len(samples)`` in retain mode).
         self.n_accepted = 0
         #: High-water mark of resident (undelivered) samples, sink mode.
@@ -134,10 +138,18 @@ class Monitor:
         if len(self._batch) >= self.batch_size:
             self.flush()
 
+    def close(self) -> None:
+        """Ends a run: delivers the final partial batch, then drops the
+        sink, so whatever it holds goes when its owner lets it go."""
+        self.flush()
+        self.sink = None
+
     def flush(self) -> None:
         """Delivers any buffered partial batch to the sink (sink mode)."""
         if self.sink is not None and self._batch:
             batch, self._batch = self._batch, []
+            if self.keep_samples:
+                self.samples.extend(batch)
             self.sink(batch)
 
     @staticmethod

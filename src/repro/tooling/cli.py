@@ -2,7 +2,7 @@
 
 Usage::
 
-    repro-profile profile program.chpl [-o run.cbp] [--streaming]
+    repro-profile profile program.chpl [-o run.cbp] [--batch-size N]
         [--adaptive [--confidence C] [--ci-width W]]
         [--threads N] [--threshold P] [--fast] [--view data|code|hybrid|all]
         [--config name=value ...]
@@ -33,9 +33,14 @@ import argparse
 import os
 import sys
 
-from ..errors import ArtifactError
+from ..chapel.errors import ChapelError
+from ..errors import ArtifactError, ConfigError
 from ..pipeline.stages import render_stage
 from .profiler import Profiler
+
+#: Faults in the user's program or its config overrides: reported in one
+#: line on stderr with exit 2, like a missing source file.
+PROGRAM_ERRORS = (ChapelError, ConfigError)
 
 #: Subcommands `main` dispatches on.
 SUBCOMMANDS = ("profile", "view", "merge", "diff", "advise")
@@ -47,7 +52,7 @@ commands:
   profile SOURCE [-o ART.cbp]   run a program, print views, save an artifact
                                 (--adaptive stops collection early once the
                                 blame ranking settles; tune with --confidence,
-                                --ci-width, --stability-window, --round-samples)
+                                --ci-width, --stability-window, --batch-size)
   view ART.cbp                  re-render views from a saved artifact
   merge OUT.cbp IN.cbp...       merge per-locale/per-run artifacts
   diff A.cbp B.cbp              blame-shift table between two artifacts
@@ -132,6 +137,16 @@ def main(argv: list[str] | None = None) -> int:
     return 2
 
 
+def _read_source(path: str, prog: str) -> str | None:
+    """The source file's text, or None after a one-line error."""
+    try:
+        with open(path) as f:
+            return f.read()
+    except OSError as exc:
+        print(f"{prog}: {exc}", file=sys.stderr)
+        return None
+
+
 def _load_artifact(path: str):
     """Reads one artifact, mapping failures to clean exits (no traceback)."""
     from ..artifact import read_artifact
@@ -191,23 +206,20 @@ def profile_main(argv: list[str]) -> int:
         "later with the view/merge/diff subcommands, no re-run needed",
     )
     ap.add_argument(
-        "--streaming",
-        action="store_true",
-        help="bounded-memory collection: post-mortem consumes sample "
-        "batches as they fill instead of the whole run at once",
-    )
-    ap.add_argument(
         "--batch-size",
         type=int,
         default=256,
         metavar="N",
-        help="samples per batch with --streaming (peak resident bound)",
+        help="samples per batch: post-mortem consumes the stream N "
+        "samples at a time, and with --adaptive each batch is one "
+        "checkpoint round (default: 256)",
     )
     ap.add_argument(
         "--save-samples",
         metavar="PATH",
         help="write the raw sample dataset (JSONL) for offline analysis "
-        "with python -m repro.tooling.analyze",
+        "with python -m repro.tooling.analyze (with --adaptive: the "
+        "samples up to the stopping point)",
     )
     ap.add_argument(
         "--html",
@@ -265,55 +277,21 @@ def profile_main(argv: list[str]) -> int:
         help="checkpoints in a row that must agree before stopping "
         "(default: 3)",
     )
-    ap.add_argument(
-        "--round-samples",
-        type=int,
-        default=256,
-        metavar="N",
-        help="samples collected per adaptive round (default: 256)",
-    )
     args = ap.parse_args(argv)
 
-    if args.streaming and args.save_samples:
-        ap.error("--save-samples needs the retained stream (drop --streaming)")
+    if args.batch_size < 1:
+        ap.error(f"--batch-size must be >= 1 (got {args.batch_size})")
     if not 0.0 < args.confidence < 1.0:
         ap.error(f"--confidence must be in (0, 1) exclusive (got {args.confidence})")
     if not 0.0 < args.ci_width < 1.0:
         ap.error(f"--ci-width must be in (0, 1) exclusive (got {args.ci_width})")
-    if args.adaptive and args.streaming:
-        ap.error("--adaptive already streams in rounds (drop --streaming)")
-    if args.adaptive and args.save_samples:
-        ap.error("--save-samples needs the full stream (drop --adaptive)")
     if args.stability_window < 1:
         ap.error(f"--stability-window must be >= 1 (got {args.stability_window})")
-    if args.round_samples < 1:
-        ap.error(f"--round-samples must be >= 1 (got {args.round_samples})")
     faults = _parse_faults(ap, args.inject_faults)
 
-    try:
-        with open(args.source) as f:
-            source = f.read()
-    except OSError as exc:
-        print(f"repro-profile: {exc}", file=sys.stderr)
+    source = _read_source(args.source, "repro-profile")
+    if source is None:
         return 2
-
-    if args.save_samples:
-        # Deterministic ids so the dataset is re-analyzable offline.
-        from ..compiler.lower import compile_source
-
-        program = compile_source(source, args.source, fresh_ids=True)
-    else:
-        program = source
-
-    profiler = Profiler(
-        program,
-        filename=args.source,
-        config=_parse_config(args.config),
-        num_threads=args.threads,
-        threshold=args.threshold,
-        fast=args.fast,
-        faults=faults,
-    )
     adaptive = None
     if args.adaptive:
         from ..sampling.adaptive import AdaptiveConfig
@@ -322,13 +300,32 @@ def profile_main(argv: list[str]) -> int:
             confidence=args.confidence,
             ci_width=args.ci_width,
             stability_window=args.stability_window,
-            round_samples=args.round_samples,
         )
-    result = profiler.profile(
-        streaming=args.streaming,
-        batch_size=args.batch_size,
-        adaptive=adaptive,
-    )
+    try:
+        if args.save_samples:
+            # Deterministic ids so the dataset is re-analyzable offline.
+            from ..compiler.lower import compile_source
+
+            program = compile_source(source, args.source, fresh_ids=True)
+        else:
+            program = source
+        profiler = Profiler(
+            program,
+            filename=args.source,
+            config=_parse_config(args.config),
+            num_threads=args.threads,
+            threshold=args.threshold,
+            fast=args.fast,
+            faults=faults,
+        )
+        result = profiler.profile(
+            adaptive=adaptive,
+            batch_size=args.batch_size,
+            keep_samples=bool(args.save_samples),
+        )
+    except PROGRAM_ERRORS as exc:
+        print(f"repro-profile: {exc}", file=sys.stderr)
+        return 2
 
     if args.save_samples:
         from ..sampling.dataset import (
@@ -699,8 +696,9 @@ def advise_main(argv: list[str] | None = None) -> int:
     if args.benchmark:
         source, filename = _benchmark_source(args.benchmark)
     else:
-        with open(args.source) as f:
-            source = f.read()
+        source = _read_source(args.source, "repro-advise")
+        if source is None:
+            return 2
         filename = args.source
 
     report = None
@@ -725,6 +723,9 @@ def advise_main(argv: list[str] | None = None) -> int:
         findings = analyze_module(module, passes=args.rules)
     except VerificationError as exc:
         print(f"IR verification failed: {exc}", file=sys.stderr)
+        return 2
+    except PROGRAM_ERRORS as exc:
+        print(f"repro-advise: {exc}", file=sys.stderr)
         return 2
     if report is not None:
         findings = rank_findings(findings, report)

@@ -6,19 +6,15 @@
 4. data presentation → :class:`~repro.blame.BlameReport` (+ views)
 
 The stages themselves live in :mod:`repro.pipeline.stages`;
-:class:`Profiler` is the driver that wires them together, in one of
-three ways:
-
-* ``profile()`` — the historical materialized run: collect the whole
-  sample stream, then consolidate it;
-* ``profile(streaming=True)`` — bounded-memory run: the monitor sinks
-  sample batches straight into a
-  :class:`~repro.blame.postmortem.PostmortemConsumer` (through the
-  fault injector's streaming degrader when faults are enabled), so at
-  no point is the full ``list[RawSample]`` resident.  Same report,
-  bounded peak memory;
-* ``profile(adaptive=...)`` — streaming rounds that stop collection
-  once the blame ranking is statistically settled.
+:class:`Profiler` drives them as one pass over the sample stream: the
+monitor hands samples over in batches, each batch goes (through the
+fault injector's degrader when faults are on) into one
+:class:`~repro.blame.postmortem.PostmortemConsumer`, and an optional
+stop policy — the :class:`~repro.sampling.adaptive.AdaptiveController`
+of ``profile(adaptive=...)`` — checks each batch and may halt
+collection once the blame ranking is statistically settled.  No
+``list[RawSample]`` of the whole run is resident unless
+``keep_samples=True`` asks for it.
 
 Typical use::
 
@@ -38,8 +34,10 @@ from ..blame.postmortem import PostmortemConsumer, PostmortemResult
 from ..blame.report import BlameReport
 from ..blame.static_info import ModuleBlameInfo
 from ..ir.module import Module
-from ..pipeline.stages import (
-    _COMPILE_CACHE,  # noqa: F401  (re-exported for back-compat)
+# Every stage is bound here, and the profiler calls them through these
+# globals, so a tracer can wrap them by name.
+from ..pipeline.stages import (  # noqa: F401
+    _COMPILE_CACHE,
     aggregate_stage,
     analyze_stage,
     attribute_stage,
@@ -51,9 +49,6 @@ from ..runtime.costmodel import CostModel
 from ..runtime.interpreter import Interpreter, RunResult
 from ..sampling.monitor import Monitor
 from ..sampling.pmu import DEFAULT_THRESHOLD
-
-#: Back-compat alias — the compile cache moved to the pipeline stages.
-_compile_cached = compile_stage
 
 
 @dataclass
@@ -69,9 +64,8 @@ class ProfileResult:
     report: BlameReport
     #: The interpreter that executed the run (exposes globals_store and
     #: the heap — the HPCToolkit baseline reads allocation sizes there).
-    #: On the plain, streaming and adaptive paths its ``monitor`` is None
-    #: once the run is over (see ``Interpreter.release_monitor``); the
-    #: run's samples are on ``monitor`` above.
+    #: Its ``monitor`` is None once the run is over (see
+    #: ``Interpreter.release_monitor``); the run's monitor is above.
     interpreter: "Interpreter | None" = None
     #: What fault injection did to this run (None on clean runs).
     fault_stats: "object | None" = None
@@ -148,21 +142,6 @@ class Profiler:
             faults = FaultPlan.parse(faults)
         self.faults = faults
 
-    def _collect(self, sink=None, batch_size: int = 256):
-        """Step 2 — execution under the monitor (retained, or sunk in
-        batches when ``sink`` is given)."""
-        return collect_stage(
-            self.module,
-            config=self.config,
-            num_threads=self.num_threads,
-            threshold=self.threshold,
-            cost_model=self.cost_model,
-            skid=self.skid,
-            skid_compensation=self.skid_compensation,
-            sink=sink,
-            batch_size=batch_size,
-        )
-
     def _injector(self):
         if self.faults is None or getattr(self.faults, "is_clean", True):
             return None
@@ -172,87 +151,87 @@ class Profiler:
 
     def profile(
         self,
-        streaming: bool = False,
-        batch_size: int = 256,
-        evidence_window: int | None = None,
         adaptive: "object | None" = None,
+        batch_size: int = 256,
+        keep_samples: bool = False,
     ) -> ProfileResult:
-        """Runs the pipeline end to end.
+        """Runs the pipeline end to end, in one pass over the samples.
 
-        ``streaming=True`` switches collection and post-mortem to the
-        bounded-memory path: samples flow to the consumer in batches of
-        ``batch_size`` (the monitor's ``peak_resident`` never exceeds
-        it) and idle samples are counted, not kept.  ``evidence_window``
-        additionally bounds the held-back degraded-sample buffer (see
-        :class:`~repro.blame.postmortem.PostmortemConsumer`).  On a
-        clean run both paths produce identical reports.
+        The monitor delivers samples in batches of ``batch_size`` (its
+        ``peak_resident`` never exceeds it); post-mortem consumes each
+        batch as it fills and counts idle samples instead of keeping
+        them.  The report does not depend on the batch size.
 
         ``adaptive`` (an
         :class:`~repro.sampling.adaptive.AdaptiveConfig`, or ``True``
-        for the defaults) switches to confidence-driven collection:
-        streaming rounds with incremental attribution, stopping early
-        once the blame ranking is statistically settled — see
+        for the defaults) sets a stop policy: each batch is a round of
+        incremental attribution, and collection stops early once the
+        blame ranking is statistically settled — see
         :mod:`repro.sampling.adaptive`.  Composes with fault injection
         (degraded telemetry widens the intervals, delaying the stop).
+
+        ``keep_samples=True`` also keeps the raw stream (up to the
+        stopping point) on ``result.monitor.samples``, for saving it or
+        for the baseline attributors.
         """
-        if adaptive is not None and streaming:
-            raise ValueError(
-                "adaptive mode already streams in rounds; drop streaming=True"
-            )
         # Step 1 — static analysis.
         static_info = analyze_stage(self.module, options=self.blame_options)
         injector = self._injector()
-
+        degrade = injector.degrader() if injector is not None else None
+        consumer = PostmortemConsumer(
+            self.module,
+            options=static_info.options,
+            tolerant=True,
+            keep_runtime_samples=False,
+        )
+        policy = None
         if adaptive is not None:
-            from ..sampling.adaptive import AdaptiveConfig
+            from ..sampling.adaptive import AdaptiveConfig, AdaptiveController
 
-            if adaptive is True:
-                adaptive = AdaptiveConfig()
-            return self._profile_adaptive(static_info, injector, adaptive)
-
-        if streaming:
-            consumer = PostmortemConsumer(
-                self.module,
-                options=static_info.options,
-                tolerant=True,
-                evidence_window=evidence_window,
-                keep_runtime_samples=False,
+            policy = AdaptiveController(
+                AdaptiveConfig() if adaptive is True else adaptive,
+                static_info,
+                consumer,
+                batch_size=batch_size,
+                program=self.program_name,
+                include_temps=self.include_temps,
             )
-            degrade = injector.degrader() if injector is not None else None
-            pm_clock = [0.0]
+        postmortem_seconds = 0.0
 
-            def sink(batch):
-                t0 = time.perf_counter()
-                consumer.feed(degrade(batch) if degrade is not None else batch)
-                pm_clock[0] += time.perf_counter() - t0
-
-            # Step 2 — execution, sinking batches as they fill (step 3
-            # runs incrementally inside the sink).
-            coll = self._collect(sink=sink, batch_size=batch_size)
+        def postmortem(step, *args):
+            nonlocal postmortem_seconds
             t0 = time.perf_counter()
-            pm = consumer.finish()
-            attribution = attribute_stage(static_info, pm)
-            postmortem_seconds = pm_clock[0] + time.perf_counter() - t0
+            out = step(*args)
+            postmortem_seconds += time.perf_counter() - t0
+            return out
+
+        def sink(batch):
+            # Step 3, batch by batch: the monitor's stream stays
+            # pristine, post-mortem sees the degraded copy (tolerant:
+            # degraded telemetry is bucketed/quarantined, never raised).
+            postmortem(consumer.feed, degrade(batch) if degrade else batch)
+            if policy is not None:
+                policy.sink(batch)
+
+        # Step 2 — execution under the monitor, sinking batches as they
+        # fill; a stop policy may end it early.
+        coll = collect_stage(
+            self.module,
+            config=self.config,
+            num_threads=self.num_threads,
+            threshold=self.threshold,
+            cost_model=self.cost_model,
+            skid=self.skid,
+            skid_compensation=self.skid_compensation,
+            sink=sink,
+            batch_size=batch_size,
+            keep_samples=keep_samples,
+        )
+        pm = postmortem(consumer.finish)
+        if policy is not None:
+            attribution = postmortem(policy.finish)
         else:
-            # Step 2 — execution under the monitor, stream retained.
-            coll = self._collect()
-
-            # Optional fault injection between steps 2 and 3: the
-            # monitor's stream stays pristine; post-mortem sees the
-            # degraded copy.
-            samples = coll.monitor.samples
-            if injector is not None:
-                samples = injector.degrade_samples(samples)
-
-            # Step 3 — post-mortem processing (tolerant: degraded
-            # telemetry is bucketed/quarantined, never raised; a no-op
-            # when clean).
-            t0 = time.perf_counter()
-            pm = postmortem_stage(
-                self.module, samples, options=static_info.options, tolerant=True
-            )
-            attribution = attribute_stage(static_info, pm)
-            postmortem_seconds = time.perf_counter() - t0
+            attribution = postmortem(attribute_stage, static_info, pm)
 
         # Step 4 — report assembly.
         monitor = coll.monitor
@@ -278,89 +257,7 @@ class Profiler:
             report=report,
             interpreter=coll.interpreter,
             fault_stats=injector.stats if injector is not None else None,
-        )
-
-    def _profile_adaptive(self, static_info, injector, config) -> ProfileResult:
-        """Confidence-driven collection: the monitor sinks rounds into
-        an :class:`~repro.sampling.adaptive.AdaptiveController`, which
-        feeds the streaming consumer, attributes each round's delta, and
-        raises :class:`~repro.sampling.adaptive.StopSampling` out of the
-        interpreter once the ranking is statistically settled.  The
-        samples after the stopping point are never generated at all —
-        that is the wall-clock saving."""
-        from ..sampling.adaptive import AdaptiveController, StopSampling
-        from ..sampling.pmu import PMUConfig
-
-        consumer = PostmortemConsumer(
-            self.module,
-            options=static_info.options,
-            tolerant=True,
-            keep_runtime_samples=False,
-        )
-        degrade = injector.degrader() if injector is not None else None
-        controller = AdaptiveController(
-            config,
-            static_info,
-            consumer,
-            degrade=degrade,
-            program=self.program_name,
-            include_temps=self.include_temps,
-        )
-        monitor = Monitor(
-            PMUConfig(threshold=self.threshold),
-            sink=controller.sink,
-            batch_size=config.round_samples,
-        )
-        controller.bind_monitor(monitor)
-        interp = Interpreter(
-            self.module,
-            config=self.config,
-            num_threads=self.num_threads,
-            cost_model=self.cost_model,
-            monitor=monitor,
-            sample_threshold=self.threshold,
-            skid=self.skid,
-            skid_compensation=self.skid_compensation,
-        )
-        try:
-            run_result = interp.run()
-        except StopSampling:
-            # The event loop unwound mid-run; the scheduler clocks
-            # reflect exactly the truncated execution.
-            run_result = interp.build_run_result()
-        interp.release_monitor()
-        controller.close()
-        monitor.flush()  # final partial round (recorded, never raises)
-        t0 = time.perf_counter()
-        pm, attribution = controller.finish()
-        postmortem_seconds = time.perf_counter() - t0
-        # The monitor's sink and the controller point at each other; cut
-        # that cycle too so the samples go by reference count.
-        controller.bind_monitor(None)
-
-        report = aggregate_stage(
-            self.program_name,
-            pm,
-            attribution,
-            wall_seconds=run_result.wall_seconds,
-            dataset_bytes=monitor.dataset_size_bytes(),
-            stackwalk_cycles=monitor.overhead.stackwalk_cycles_total,
-            postmortem_seconds=postmortem_seconds,
-            monitor_quarantine=monitor.quarantine_by_reason(),
-            min_blame=self.min_blame,
-            include_temps=self.include_temps,
-        )
-        return ProfileResult(
-            module=self.module,
-            static_info=static_info,
-            monitor=monitor,
-            run_result=run_result,
-            postmortem=pm,
-            attribution=attribution,
-            report=report,
-            interpreter=interp,
-            fault_stats=injector.stats if injector is not None else None,
-            adaptive=controller.trail,
+            adaptive=policy.trail if policy is not None else None,
         )
 
 

@@ -10,6 +10,8 @@ import pytest
 
 from repro.tooling.profiler import Profiler
 
+from ..oracle import stage_oracle
+
 #: Small-but-representative configs for the paper's three benchmarks.
 BENCHMARKS = ("minimd", "clomp", "lulesh")
 
@@ -66,6 +68,19 @@ def profile_benchmark(name: str, faults: str | None = None, **profile_kwargs):
             faults=faults,
         ).profile(**profile_kwargs)
     return _CACHE[key]
+
+
+_ORACLE: dict = {}
+
+
+def oracle_benchmark(name: str, faults: str | None = None):
+    """The stage-function oracle's run of one benchmark (cached)."""
+    key = (name, faults)
+    if key not in _ORACLE:
+        _ORACLE[key] = stage_oracle(
+            *benchmark_setup(name), NUM_THREADS, THRESHOLD, faults=faults
+        )
+    return _ORACLE[key]
 
 
 @pytest.fixture(params=BENCHMARKS)

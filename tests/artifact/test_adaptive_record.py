@@ -37,15 +37,15 @@ for it in 0..#iters {
 """
 
 
-def _profile(adaptive=None):
+def _profile(adaptive=None, batch_size=256):
     return Profiler(
         SOURCE, filename="toy.chpl", num_threads=4, threshold=997
-    ).profile(adaptive=adaptive)
+    ).profile(adaptive=adaptive, batch_size=batch_size)
 
 
 @pytest.fixture(scope="module")
 def adaptive_result():
-    result = _profile(adaptive=AdaptiveConfig(ci_width=0.05, round_samples=64))
+    result = _profile(adaptive=AdaptiveConfig(ci_width=0.05), batch_size=64)
     assert result.stopped_early  # the artifact under test is truncated
     return result
 

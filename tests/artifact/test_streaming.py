@@ -1,20 +1,24 @@
-"""Streaming collection + post-mortem: bounded memory, identical output.
+"""The profiler's batched pass: bounded memory, the oracle's output.
 
-The acceptance bar: with ``streaming=True`` the monitor never holds
-more than ``batch_size`` samples resident, and on the same program the
-resulting report (and every view) is exactly what the materialized
-pipeline produces — clean or degraded."""
+The acceptance bar: ``profile(batch_size=N)`` never holds more than
+``N`` samples resident in the monitor, and on the same program its
+artifact, report and every view are exactly what the stage-function
+oracle (``tests/oracle.py``: retained stream, one-shot post-mortem)
+produces — clean or degraded."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from repro.artifact import artifact_bytes, snapshot_from_result
 from repro.blame.postmortem import PostmortemConsumer, process_samples
 from repro.pipeline import render_stage
 from repro.resilience.faults import FaultPlan
 from repro.resilience.inject import FaultInjector
 
-from .conftest import FAULT_SPEC, profile_benchmark
+from .conftest import FAULT_SPEC, oracle_benchmark, profile_benchmark
 
 BATCH = 32
 
@@ -25,56 +29,60 @@ def report_key(result):
     ]
 
 
+def cbp(result) -> bytes:
+    return artifact_bytes(snapshot_from_result(result, canonical_timings=True))
+
+
 class TestStreamingEquivalence:
     @pytest.mark.parametrize("view", ["data", "code", "hybrid", "html"])
     def test_views_identical_clean(self, benchmark_name, view):
-        retained = profile_benchmark(benchmark_name)
-        streamed = profile_benchmark(
-            benchmark_name, streaming=True, batch_size=BATCH
-        )
-        assert render_stage(streamed, view) == render_stage(retained, view)
+        oracle = oracle_benchmark(benchmark_name)
+        streamed = profile_benchmark(benchmark_name, batch_size=BATCH)
+        assert render_stage(streamed, view) == render_stage(oracle, view)
 
     def test_views_identical_degraded(self, benchmark_name):
-        retained = profile_benchmark(benchmark_name, faults=FAULT_SPEC)
+        oracle = oracle_benchmark(benchmark_name, faults=FAULT_SPEC)
         streamed = profile_benchmark(
-            benchmark_name, faults=FAULT_SPEC, streaming=True, batch_size=BATCH
+            benchmark_name, faults=FAULT_SPEC, batch_size=BATCH
         )
         for view in ("data", "code", "hybrid", "html"):
-            assert render_stage(streamed, view) == render_stage(retained, view)
-        assert report_key(streamed) == report_key(retained)
+            assert render_stage(streamed, view) == render_stage(oracle, view)
+        assert report_key(streamed) == report_key(oracle)
 
     def test_degraded_accounting_identical(self, benchmark_name):
-        retained = profile_benchmark(benchmark_name, faults=FAULT_SPEC)
+        oracle = oracle_benchmark(benchmark_name, faults=FAULT_SPEC)
         streamed = profile_benchmark(
-            benchmark_name, faults=FAULT_SPEC, streaming=True, batch_size=BATCH
+            benchmark_name, faults=FAULT_SPEC, batch_size=BATCH
         )
         # postmortem_seconds is host-measured wall time, the one
         # legitimately nondeterministic stat.
-        import dataclasses
-
         assert dataclasses.replace(
             streamed.report.stats, postmortem_seconds=0.0
-        ) == dataclasses.replace(retained.report.stats, postmortem_seconds=0.0)
+        ) == dataclasses.replace(oracle.report.stats, postmortem_seconds=0.0)
         assert (
             streamed.postmortem.unknown_by_reason()
-            == retained.postmortem.unknown_by_reason()
+            == oracle.postmortem.unknown_by_reason()
         )
-        assert streamed.fault_stats.as_dict() == retained.fault_stats.as_dict()
+        assert streamed.fault_stats.as_dict() == oracle.fault_stats.as_dict()
+
+    @pytest.mark.parametrize("faults", [None, FAULT_SPEC], ids=["clean", "faults"])
+    @pytest.mark.parametrize("batch_size", [1, BATCH, 256])
+    def test_artifact_bytes_identical(self, benchmark_name, faults, batch_size):
+        streamed = profile_benchmark(
+            benchmark_name, faults=faults, batch_size=batch_size
+        )
+        assert cbp(streamed) == cbp(oracle_benchmark(benchmark_name, faults))
 
 
 class TestBoundedMemory:
     def test_peak_resident_bounded_by_batch_size(self, benchmark_name):
-        streamed = profile_benchmark(
-            benchmark_name, streaming=True, batch_size=BATCH
-        )
+        streamed = profile_benchmark(benchmark_name, batch_size=BATCH)
         monitor = streamed.monitor
         assert monitor.n_accepted > BATCH  # the bound was actually exercised
         assert 0 < monitor.peak_resident <= BATCH
 
     def test_sink_mode_retains_nothing(self, benchmark_name):
-        streamed = profile_benchmark(
-            benchmark_name, streaming=True, batch_size=BATCH
-        )
+        streamed = profile_benchmark(benchmark_name, batch_size=BATCH)
         assert streamed.monitor.samples == []
         assert streamed.postmortem.runtime_samples == []
         # ...but the counts still tell the whole story.
@@ -82,18 +90,25 @@ class TestBoundedMemory:
         assert streamed.monitor.dataset_size_bytes() > 0
 
     def test_retain_mode_counters_match_list(self, benchmark_name):
-        retained = profile_benchmark(benchmark_name)
-        monitor = retained.monitor
+        """``keep_samples`` tees every batch into ``monitor.samples``:
+        the oracle's retained stream, record for record, with the
+        counters agreeing and the resident bound still in force."""
+        kept = profile_benchmark(
+            benchmark_name, batch_size=BATCH, keep_samples=True
+        )
+        monitor = kept.monitor
+        assert monitor.samples == oracle_benchmark(benchmark_name).monitor.samples
         assert monitor.n_accepted == len(monitor.samples)
-        assert monitor.peak_resident == 0  # never tracked without a sink
+        assert 0 < monitor.peak_resident <= BATCH
         assert monitor.dataset_size_bytes() == sum(
             8 + 8 * len(s.stack) for s in monitor.samples
         )
+        assert cbp(kept) == cbp(oracle_benchmark(benchmark_name))
 
 
 class TestConsumerContract:
     def samples_of(self, name):
-        return list(profile_benchmark(name).monitor.samples)
+        return list(oracle_benchmark(name).monitor.samples)
 
     def test_chunked_feed_equals_one_shot(self):
         result = profile_benchmark("minimd")
@@ -123,40 +138,10 @@ class TestConsumerContract:
         with pytest.raises(RuntimeError):
             consumer.feed([])
 
-    def test_evidence_window_bounds_pending_candidates(self):
-        result = profile_benchmark("minimd")
-        injector = FaultInjector(
-            FaultPlan.parse(FAULT_SPEC), module=result.module
-        )
-        degraded = injector.degrade_samples(self.samples_of("minimd"))
-        window = 4
-        consumer = PostmortemConsumer(
-            result.module,
-            options=result.static_info.options,
-            tolerant=True,
-            evidence_window=window,
-        )
-        for k in range(0, len(degraded), 16):
-            consumer.feed(degraded[k : k + 16])
-            assert consumer.pending_candidates <= window
-        pm = consumer.finish()
-        # Bounded-window recovery is best effort but must not lose
-        # samples: every degraded record is either an instance, a
-        # runtime sample, quarantined, or explicitly unknown.
-        assert (
-            pm.n_user + pm.n_runtime + len(pm.quarantined) + pm.n_unknown
-            == pm.n_raw
-        )
-
-    def test_evidence_window_validation(self):
-        result = profile_benchmark("minimd")
-        with pytest.raises(ValueError):
-            PostmortemConsumer(result.module, evidence_window=0)
-
 
 class TestStreamingDegrader:
     def test_chunking_invariant(self):
-        samples = list(profile_benchmark("minimd").monitor.samples)
+        samples = list(oracle_benchmark("minimd").monitor.samples)
         module = profile_benchmark("minimd").module
         plan = FaultPlan.parse(FAULT_SPEC)
         whole = FaultInjector(plan, module=module).degrade_samples(samples)
@@ -168,6 +153,6 @@ class TestStreamingDegrader:
             assert piecewise == whole, f"chunk={chunk}"
 
     def test_clean_plan_degrader_is_identity(self):
-        samples = list(profile_benchmark("minimd").monitor.samples)
+        samples = list(oracle_benchmark("minimd").monitor.samples)
         degrade = FaultInjector(FaultPlan()).degrader()
         assert degrade(samples) == samples

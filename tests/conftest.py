@@ -39,13 +39,14 @@ def profile_src(
     threshold: int = 997,
     filename: str = "test.chpl",
 ) -> ProfileResult:
+    """Profile with the raw stream kept on ``monitor.samples``."""
     return Profiler(
         source,
         filename=filename,
         config=config,
         num_threads=num_threads,
         threshold=threshold,
-    ).profile()
+    ).profile(keep_samples=True)
 
 
 @pytest.fixture

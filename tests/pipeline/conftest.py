@@ -53,7 +53,7 @@ _CACHE: dict = {}
 def collected(name: str = "minimd", faults: str | None = None):
     """(module, static_info, samples, wall_seconds) — collected once per
     configuration; ``faults`` degrades the retained stream exactly as
-    the materialized profiler does before post-mortem."""
+    the profiler's degrader does, batch by batch, before post-mortem."""
     key = (name, faults)
     if key not in _CACHE:
         source, filename, config = benchmark_setup(name)

@@ -1,8 +1,8 @@
-"""Property tests (hypothesis) for streamed collection: *any* batch
+"""Property tests (hypothesis) for batched collection: *any* batch
 size — one sample per batch up to a single batch holding the whole run
 — delivers, batch after batch, exactly the stream a retained run keeps,
-on every benchmark; and a streaming profile under any stream-fault
-schedule persists the same ``.cbp`` bytes as the materialized one.
+on every benchmark; and ``profile()`` under any stream-fault schedule
+persists the same ``.cbp`` bytes as the stage-function oracle.
 
 Batch boundaries come from hypothesis, so the identity never depends
 on where a batch happens to end.
@@ -17,6 +17,7 @@ from repro.artifact import artifact_bytes, snapshot_from_result
 from repro.pipeline.stages import collect_stage, compile_stage
 from repro.tooling.profiler import Profiler
 
+from ..oracle import stage_oracle
 from .conftest import NUM_THREADS, THRESHOLD, benchmark_setup
 
 _BASE: dict = {}
@@ -67,19 +68,12 @@ def test_any_boundary_set_reassembles_the_serial_stream(bench, fraction):
     assert result.total_cycles == serial_result.total_cycles
 
 
-_MATERIALIZED: dict = {}
+_ORACLE: dict = {}
 
 
-def _profile(spec: str, **profile_kwargs):
-    source, filename, config = benchmark_setup("minimd")
-    return Profiler(
-        source, filename=filename, config=config,
-        num_threads=NUM_THREADS, threshold=THRESHOLD, faults=spec,
-    ).profile(**profile_kwargs)
-
-
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=12, deadline=None)
 @given(
+    bench=st.sampled_from(["minimd", "clomp", "lulesh"]),
     batch_size=st.integers(1, 256),
     drop=st.sampled_from([0.0, 0.05, 0.2]),
     tagloss=st.sampled_from([0.0, 0.1, 0.3]),
@@ -87,21 +81,33 @@ def _profile(spec: str, **profile_kwargs):
     seed=st.integers(0, 3),
 )
 def test_any_slice_count_and_fault_schedule_is_identical(
-    batch_size, drop, tagloss, strip, seed
+    bench, batch_size, drop, tagloss, strip, seed
 ):
     """Any batch size under a hypothesis-chosen stream-fault schedule
     (dropped records, lost spawn tags, stripped symbols, truncated
-    stacks): the streaming artifact never differs by a byte."""
+    stacks): ``profile()`` writes the stage-function oracle's canonical
+    ``.cbp`` bytes, and ``keep_samples`` keeps the oracle's retained
+    stream record for record."""
     spec = (
         f"drop={drop},truncate=0.1:3,tagloss={tagloss},"
         f"strip={strip},seed={seed}"
     )
-    if spec not in _MATERIALIZED:
-        _MATERIALIZED[spec] = artifact_bytes(
-            snapshot_from_result(_profile(spec), canonical_timings=True)
+    source, filename, config = benchmark_setup(bench)
+    key = (bench, spec)
+    if key not in _ORACLE:
+        oracle = stage_oracle(
+            source, filename, config, NUM_THREADS, THRESHOLD, faults=spec
         )
-    streamed = _profile(spec, streaming=True, batch_size=batch_size)
+        _ORACLE[key] = (cbp(oracle), oracle.monitor.samples)
+    want_bytes, want_samples = _ORACLE[key]
+    streamed = Profiler(
+        source, filename=filename, config=config,
+        num_threads=NUM_THREADS, threshold=THRESHOLD, faults=spec,
+    ).profile(batch_size=batch_size, keep_samples=True)
     assert streamed.monitor.peak_resident <= batch_size
-    assert artifact_bytes(
-        snapshot_from_result(streamed, canonical_timings=True)
-    ) == _MATERIALIZED[spec]
+    assert streamed.monitor.samples == want_samples
+    assert cbp(streamed) == want_bytes
+
+
+def cbp(result) -> bytes:
+    return artifact_bytes(snapshot_from_result(result, canonical_timings=True))

@@ -1,15 +1,15 @@
 """Pipeline results do not depend on how the run is cut into pieces.
 
-The adaptive and streaming paths feed one post-mortem consumer in
-batches and merge per-round attributions, so the serial pipeline must
-compose exactly:
+The profiler feeds one post-mortem consumer in batches, and adaptive
+runs merge per-round attributions, so the serial pipeline must compose
+exactly:
 
 * **same stream** — the identical collected (possibly degraded) sample
   list, fed whole or in pieces, gives ``==`` post-mortem and
   attribution results, down to every field; empty pieces are
   identities;
 * **cross run** — two separate ``Profiler`` runs that differ only in
-  how they cut the stream persist the same canonical ``.cbp`` bytes.
+  their batch size persist the same canonical ``.cbp`` bytes.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ from .conftest import (
 
 
 def feed_in_pieces(module, static, pieces):
-    """One consumer fed ``pieces`` in order — the streaming driver's
-    shape — returning its finished :class:`PostmortemResult`."""
+    """One consumer fed ``pieces`` in order — the profiler's shape —
+    returning its finished :class:`PostmortemResult`."""
     consumer = PostmortemConsumer(module, options=static.options, tolerant=True)
     for piece in pieces:
         consumer.feed(piece)
@@ -92,13 +92,13 @@ class TestSameStreamEquality:
 
 
 class TestCrossRunByteIdentity:
-    """Separate materialized and streaming runs: artifacts match."""
+    """Separate runs at different batch sizes: artifacts match."""
 
     def test_min_blame_applied_post_merge(self):
         """min_blame is a fraction of the whole-run denominator, so it
         is applied to the finished attribution: the kept rows carry
-        exactly the blame they carry unfiltered, and a streaming run
-        (post-mortem fed in small batches) persists the same bytes."""
+        exactly the blame they carry unfiltered, and a run whose
+        post-mortem is fed in small batches persists the same bytes."""
         source, filename, config = benchmark_setup("minimd")
 
         def run(min_blame, **profile_kwargs):
@@ -110,7 +110,7 @@ class TestCrossRunByteIdentity:
 
         unfiltered = run(0.0)
         filtered = run(0.05)
-        streamed = run(0.05, streaming=True, batch_size=7)
+        streamed = run(0.05, batch_size=7)
 
         def key(r):
             return (r.name, r.context, r.samples, r.blame)

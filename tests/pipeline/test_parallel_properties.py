@@ -3,7 +3,7 @@ stream, fed piece by piece through one post-mortem consumer with each
 piece's delta attributed separately and the parts merged, equals the
 one-shot post-mortem and attribution — clean and under FaultInjector
 degradation, 1–8 pieces and arbitrary uneven splits.  This is the
-composition the streaming and adaptive paths rely on."""
+composition the profiler's batched loop and adaptive rounds rely on."""
 
 from __future__ import annotations
 

@@ -42,7 +42,9 @@ for it in 0..#iters {
 }
 """
 
-CFG = AdaptiveConfig(ci_width=0.05, round_samples=64)
+CFG = AdaptiveConfig(ci_width=0.05)
+#: Samples per batch, i.e. per adaptive round.
+BATCH = 64
 
 
 def _profiler(**kw):
@@ -53,12 +55,12 @@ def _profiler(**kw):
 
 @pytest.fixture(scope="module")
 def full():
-    return _profiler().profile()
+    return _profiler().profile(keep_samples=True)
 
 
 @pytest.fixture(scope="module")
 def adaptive():
-    return _profiler().profile(adaptive=CFG)
+    return _profiler().profile(adaptive=CFG, batch_size=BATCH)
 
 
 class TestStoppingRule:
@@ -82,7 +84,8 @@ class TestStoppingRule:
         trail = adaptive.adaptive
         for i, r in enumerate(trail.rounds):
             assert r.round == i + 1
-            assert r.n_raw == (i + 1) * CFG.round_samples
+            assert r.n_raw == (i + 1) * BATCH
+        assert trail.round_samples == BATCH
 
     def test_settled_checkpoint_is_tight_and_agreed(self, adaptive):
         last = adaptive.adaptive.rounds[-1]
@@ -107,6 +110,16 @@ class TestEquivalences:
         assert adaptive.report.rows == rows
         assert adaptive.postmortem.n_user == pm.n_user
 
+    def test_kept_samples_are_the_full_runs_prefix(self, full):
+        """``keep_samples`` under a stop policy keeps exactly the
+        samples collected up to the stopping point."""
+        kept = _profiler().profile(
+            adaptive=CFG, batch_size=BATCH, keep_samples=True
+        )
+        assert kept.stopped_early
+        n = kept.adaptive.samples_collected
+        assert kept.monitor.samples == full.monitor.samples[:n]
+
     def test_incremental_merge_equals_single_pass(self, adaptive):
         """Per-round delta attribution merged across rounds must equal
         one attribution pass over every consolidated instance."""
@@ -120,15 +133,15 @@ class TestEquivalences:
         """A rule that never fires (huge min_rounds) runs to the end of
         the stream and reports exactly what the plain path reports."""
         result = _profiler().profile(
-            adaptive=AdaptiveConfig(
-                ci_width=0.05, round_samples=64, min_rounds=10_000
-            )
+            adaptive=AdaptiveConfig(ci_width=0.05, min_rounds=10_000),
+            batch_size=BATCH,
         )
         trail = result.adaptive
         assert not result.stopped_early
         assert trail.stop_reason == REASON_EXHAUSTED
         assert trail.samples_collected == full.monitor.n_samples
-        # closing mode recorded the final partial round without raising.
+        # The final short batch was recorded as a round without raising.
+        assert full.monitor.n_samples % BATCH
         assert trail.rounds[-1].n_raw == full.monitor.n_samples
         assert result.report.rows == full.report.rows
 
@@ -138,7 +151,7 @@ class TestDegradation:
         """Fault-injected telemetry must delay the stop (wider
         intervals), never accelerate it."""
         faulty = _profiler(faults="drop=0.2,strip=0.2,seed=11").profile(
-            adaptive=CFG
+            adaptive=CFG, batch_size=BATCH
         )
         trail = faulty.adaptive
         assert any(r.degraded > 0 for r in trail.rounds)
@@ -164,10 +177,6 @@ class TestPlumbing:
         assert exc.reason == REASON_SETTLED
         assert exc.rounds == 7
 
-    def test_adaptive_rejects_streaming_combo(self):
-        with pytest.raises(ValueError):
-            _profiler().profile(streaming=True, adaptive=CFG)
-
     @pytest.mark.parametrize(
         "kw",
         [
@@ -176,7 +185,7 @@ class TestPlumbing:
             {"ci_width": 0.0},
             {"ci_width": 1.0},
             {"stability_window": 0},
-            {"round_samples": 0},
+            {"ci_width": -0.1},
             {"top_n": 0},
             {"method": "jackknife"},
         ],

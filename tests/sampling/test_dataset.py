@@ -25,7 +25,9 @@ proc main() {
 
 def record(tmp_path, source=SRC, threshold=311):
     module = compile_source(source, "prog.chpl", fresh_ids=True)
-    res = Profiler(module, num_threads=4, threshold=threshold).profile()
+    res = Profiler(module, num_threads=4, threshold=threshold).profile(
+        keep_samples=True
+    )
     path = tmp_path / "run.jsonl"
     header = DatasetHeader(
         program="prog.chpl",

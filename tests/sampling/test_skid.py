@@ -25,7 +25,7 @@ def profile(module, skid=0, compensation=False):
     return Profiler(
         module, num_threads=4, threshold=311, skid=skid,
         skid_compensation=compensation,
-    ).profile()
+    ).profile(keep_samples=True)
 
 
 def raw_samples(module, skid=0, compensation=False):

@@ -94,21 +94,12 @@ class TestProfileAndView:
         live = capsys.readouterr().out
         rc = cli_main(
             [
-                "profile", source_file, "--view", "data", "--streaming",
+                "profile", source_file, "--view", "data",
                 "--batch-size", "16", *FAST_ARGS,
             ]
         )
         assert rc == 0
         assert capsys.readouterr().out == live
-
-    def test_streaming_refuses_save_samples(self, source_file, tmp_path):
-        with pytest.raises(SystemExit):
-            cli_main(
-                [
-                    "profile", source_file, "--streaming",
-                    "--save-samples", str(tmp_path / "s.jsonl"), *FAST_ARGS,
-                ]
-            )
 
     def test_adaptive_profile_stops_early_and_replays(
         self, source_file, tmp_path, capsys
@@ -117,7 +108,7 @@ class TestProfileAndView:
         rc = cli_main(
             [
                 "profile", source_file, "--adaptive",
-                "--ci-width", "0.4", "--round-samples", "8",
+                "--ci-width", "0.4", "--batch-size", "8",
                 "-o", str(path), "--view", "all", *FAST_ARGS,
             ]
         )
@@ -154,21 +145,35 @@ class TestProfileAndView:
         assert "usage:" in err
         assert "must be in (0, 1) exclusive" in err
 
-    @pytest.mark.parametrize(
-        "extra",
-        [
-            ["--streaming"],
-            ["--save-samples", "samples.jsonl"],
-        ],
-    )
-    def test_adaptive_refuses_stream_retention_combos(
-        self, source_file, extra
-    ):
+    def test_bad_batch_size_exits_2_with_usage(self, source_file, capsys):
         with pytest.raises(SystemExit) as exc:
             cli_main(
-                ["profile", source_file, "--adaptive", *extra, *FAST_ARGS]
+                ["profile", source_file, "--adaptive", "--batch-size", "0",
+                 *FAST_ARGS]
             )
         assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "--batch-size must be >= 1" in err
+
+    def test_adaptive_saves_samples_up_to_the_stop(
+        self, source_file, tmp_path, capsys
+    ):
+        from repro.sampling.dataset import load_samples
+
+        path = tmp_path / "s.jsonl"
+        rc = cli_main(
+            [
+                "profile", source_file, "--adaptive", "--ci-width", "0.4",
+                "--batch-size", "8", "--save-samples", str(path), *FAST_ARGS,
+            ]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "[adaptive: stopped early" in out
+        _header, samples = load_samples(str(path))
+        assert f"{len(samples)} samples (ranking-settled)" in out
+        assert [s.index for s in samples] == list(range(len(samples)))
 
     def test_view_meta_line(self, artifact, capsys):
         rc = cli_main(["view", artifact, "--meta", "--view", "data"])
@@ -283,7 +288,12 @@ class TestBadFlags:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--workers", "2"], ["--speculate"]],
+        [
+            ["--workers", "2"],
+            ["--speculate"],
+            ["--streaming"],
+            ["--round-samples", "8"],
+        ],
     )
     def test_removed_parallel_flags_exit_2(self, source_file, flags, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -314,3 +324,43 @@ class TestBadFlags:
         assert "usage:" in err
         assert repr(spec.split("=")[0]) in err
         assert "Traceback" not in err
+
+
+class TestProgramErrors:
+    """Faults in the user's input — a missing source file, a source that
+    does not parse, a config override of the wrong type — print one
+    line on stderr and exit 2, with no traceback."""
+
+    def _one_line_exit_2(self, argv, capsys, needle):
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+        assert needle in err
+        assert "Traceback" not in err
+
+    def test_advise_missing_source(self, tmp_path, capsys):
+        missing = str(tmp_path / "nonexist.chpl")
+        self._one_line_exit_2(["advise", missing], capsys, "nonexist.chpl")
+
+    @pytest.mark.parametrize("command", ["profile", "advise"])
+    def test_syntax_error(self, tmp_path, command, capsys):
+        bad = tmp_path / "bad.chpl"
+        bad.write_text("var x = ;\n")
+        self._one_line_exit_2([command, str(bad)], capsys, "bad.chpl:1:9")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["profile", "--config", "n=abc"],
+            ["profile", "--fast", "--config", "n=abc"],
+            ["advise", "--profile", "--config", "n=abc"],
+        ],
+        ids=["profile", "fast", "advise"],
+    )
+    def test_config_value_of_the_wrong_type(self, source_file, argv, capsys):
+        command, *flags = argv
+        self._one_line_exit_2(
+            [command, source_file, *flags, *FAST_ARGS],
+            capsys,
+            "config 'n': 'abc' is not a valid int",
+        )

@@ -66,10 +66,11 @@ class TestSampleLifetime:
         "kwargs",
         [
             {},
-            {"streaming": True},
-            {"adaptive": AdaptiveConfig(ci_width=0.05, round_samples=64)},
+            {"batch_size": 1},
+            {"keep_samples": True},
+            {"adaptive": AdaptiveConfig(ci_width=0.05), "batch_size": 64},
         ],
-        ids=["plain", "streaming", "adaptive"],
+        ids=["plain", "streaming", "kept", "adaptive"],
     )
     def test_monitor_freed_by_refcount(self, kwargs):
         # A finished interpreter is a reference cycle that only a full
